@@ -1,9 +1,10 @@
 """Command-line surface: describe, classify, verify, witness.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 precondition failure (e.g. requesting a witness for a simple root that
-is neither special nor co-special). Simple-root indices on this surface
-are 0-based; the 1-based Bourbaki label is shown alongside as "aN".
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error or an
+``--out`` file that cannot be written, 3 precondition failure (e.g.
+requesting a witness for a simple root that is neither special nor
+co-special). Simple-root indices on this surface are 0-based; the 1-based
+Bourbaki label is shown alongside as "aN".
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import CartanType, admissible_types, build_system
 from .errors import (
     BadIndex,
     InadmissibleRank,
-    NeitherSpecialNorCospecial,
     ParseError,
     RootSystemError,
 )
@@ -36,12 +36,20 @@ from .witness import dominant_witness
 ENV_MAX_RANK = "ROOTKIT_MAX_RANK"
 
 
+class OutputError(Exception):
+    """The --out file cannot be written; a usage error (exit 2)."""
+
+
 def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _vec_str(v) -> str:
@@ -221,12 +229,9 @@ def main(argv=None) -> int:
             return cmd_verify(args, parser)
         if args.command == "witness":
             return cmd_witness(args)
-    except (ParseError, InadmissibleRank, BadIndex) as exc:
+    except (ParseError, InadmissibleRank, BadIndex, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NeitherSpecialNorCospecial as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RootSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,15 +1,21 @@
 """Exact construction of reduced irreducible root systems.
 
-Two construction paths coexist on purpose. The classical families A/B/C/D
-and G2 are realized literally in their standard coordinates (type A and G2
-inside the sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard
-inner product), so that textbook identities hold bit-exactly. E6/E7/E8/F4
-are generated by reflection closure from the Cartan matrix, with the form
-given by the minimal positive-integer symmetrization of the Cartan matrix;
-``closure_system`` exposes the same path for every family so the two models
-can be cross-checked against each other.
+Every type has one construction path: breadth-first reflection closure of
+the base under the Cartan matrix, in integer base coefficients. From those
+coefficients and the Cartan matrix, ``RootSystem`` derives the reflection
+tables, negation, heights, squared lengths and coroot coefficients in
+integer arithmetic. Ambient coordinates are an embedding at the boundary:
+the classical families A/B/C/D and G2 place each root at
+``sum c_i * simple_i`` in their standard coordinates (type A and G2 inside
+the sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard inner
+product) and check the result against the textbook root list, so textbook
+identities hold bit-exactly. E6/E7/E8/F4 keep the base coefficients as
+coordinates, with the form given by the minimal positive-integer
+symmetrization of the Cartan matrix; ``closure_system`` returns that model
+for every family. ``dual_system`` reuses the primal coefficients and the
+transposed Cartan matrix.
 
-All coordinates are exact rationals. Roots are stored in a deterministic
+Ambient coordinates are exact rationals. Roots are stored in a deterministic
 order (by height of the positive representative, then lexicographic), so
 indices, orbits and serialized reports are reproducible across runs.
 """
@@ -24,7 +30,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import BadIndex, InadmissibleRank, NonIntegralSolution, NotARoot, ParseError
-from .linalg import Vector, dot, mat_vec, vector, vscale, vsub
+from .linalg import Vector, dot, mat_vec, vector, vscale
 
 _FAMILIES = "ABCDEFG"
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -148,127 +154,112 @@ class RootSystem:
     """Immutable bundle of roots, base, positives, form and index tables.
 
     Not constructed directly: use ``build_system`` / ``closure_system`` /
-    ``dual_system``. Everything is derived from (simples, roots, form) at
-    construction time and validated: closure under simple reflections,
-    integrality and sign-homogeneity of base coefficients, reducedness,
-    symmetry and positive-definiteness of the form on the span.
+    ``dual_system``. Roots arrive as integer coefficient tuples over the
+    base; every combinatorial table is derived from the Cartan matrix in
+    integer arithmetic, and ambient vectors are the embedding
+    ``sum c_i * simples[i]``. Validated at construction time:
+
+    - the form is symmetric;
+    - the ambient Gram matrix of the base is a positive multiple of the
+      symmetrized Cartan matrix (so the Cartan matrix is the base's own,
+      and a finite-type one makes the form positive definite on the span);
+    - no root is zero and each has sign-homogeneous coefficients;
+    - the root set is symmetric, reduced (2c is never a root), has at
+      most two lengths, and is closed under every simple reflection;
+    - dual (coroot) coefficients are integers.
     """
 
-    def __init__(self, ctype: CartanType, dim: int, simples, roots, form):
+    def __init__(self, ctype: CartanType, dim: int, simples, coeffs, form,
+                 cartan):
         self.ctype = ctype
         self.dim = dim
-        self.rank = len(simples)
+        self.rank = n = len(simples)
         self.simples = tuple(vector(v) for v in simples)
         self.form = linalg.matrix(form)
         if self.form != linalg.transpose(self.form):
             raise ValueError("form is not symmetric")
+        self.cartan = a = tuple(tuple(int(x) for x in row) for row in cartan)
 
-        gram_simples = tuple(
-            tuple(linalg.form_value(self.form, a, b) for b in self.simples)
-            for a in self.simples)
-        if not linalg.is_positive_definite(gram_simples):
-            raise ValueError("form is not positive definite on the root span")
-        inv_gram = linalg.invert(gram_simples)
-        gsimple = tuple(mat_vec(self.form, a) for a in self.simples)
+        # The symmetrized Cartan matrix b is the form on base coefficients,
+        # up to one positive scale fixed by the ambient Gram matrix.
+        d = symmetrizer(a)
+        b = tuple(tuple(a[i][j] * d[j] for j in range(n)) for i in range(n))
+        gsimple = tuple(mat_vec(self.form, s) for s in self.simples)
+        gram = [[dot(s, g) for g in gsimple] for s in self.simples]
+        scale = gram[0][0] / b[0][0]
+        if scale <= 0 or any(gram[i][j] != scale * b[i][j]
+                             for i in range(n) for j in range(n)):
+            raise ValueError("Gram matrix of the base is not a positive "
+                             "multiple of the symmetrized Cartan matrix")
 
-        # Express every root over the base; integer, all-nonnegative or
-        # all-nonpositive coefficients are part of the root-system contract.
-        raw = {vector(v) for v in roots}
+        # Ambient root: sum c_i * simples[i], in integers over the common
+        # denominator of the simple roots' coordinates.
+        den = lcm(*(x.denominator for v in self.simples for x in v))
+        cols = tuple(zip(*[[int(x * den) for x in v] for v in self.simples]))
         decorated = []
-        for beta in raw:
-            pair = tuple(dot(beta, g) for g in gsimple)
-            coeffs_q = mat_vec(inv_gram, pair)
-            if any(c.denominator != 1 for c in coeffs_q):
-                raise NonIntegralSolution(
-                    f"{beta} is not an integer combination of the base")
-            coeffs = tuple(int(c) for c in coeffs_q)
-            recon = linalg.zero_vector(dim)
-            for c, a in zip(coeffs, self.simples):
-                recon = linalg.vadd(recon, vscale(c, a))
-            if recon != beta:
-                raise NonIntegralSolution(f"{beta} is outside the base span")
-            if all(c == 0 for c in coeffs):
+        for c in coeffs:
+            pos = all(x >= 0 for x in c)
+            if not (pos or all(x <= 0 for x in c)):
+                raise ValueError(f"{c} has mixed-sign base coefficients")
+            if not any(c):
                 raise ValueError("zero vector in root set")
-            pos = all(c >= 0 for c in coeffs)
-            neg = all(c <= 0 for c in coeffs)
-            if not (pos or neg):
-                raise ValueError(f"{beta} has mixed-sign base coefficients")
-            decorated.append((sum(abs(c) for c in coeffs), beta, coeffs, pos))
-
+            beta = tuple(Fraction(sum(ci * x for ci, x in zip(c, col)), den)
+                         for col in cols)
+            decorated.append((sum(abs(x) for x in c), beta, c, pos))
         decorated.sort(key=lambda t: (t[0], t[1]))
         self.roots = tuple(t[1] for t in decorated)
         self._coeffs = tuple(t[2] for t in decorated)
         self._is_positive = tuple(t[3] for t in decorated)
         self._index = {beta: k for k, beta in enumerate(self.roots)}
-        self.positives = tuple(b for b, p in zip(self.roots, self._is_positive) if p)
+        self.positives = tuple(r for r, p in zip(self.roots, self._is_positive) if p)
+        cindex = {c: k for k, c in enumerate(self._coeffs)}
 
-        self._neg = tuple(self._require_index(linalg.vneg(b)) for b in self.roots)
-        self._sq = tuple(linalg.form_value(self.form, b, b) for b in self.roots)
-        if any(q <= 0 for q in self._sq):
+        def lookup(c, why):
+            k = cindex.get(c)
+            if k is None:
+                raise ValueError(f"root set is not {why}: missing {c}")
+            return k
+
+        self._neg = tuple(lookup(tuple(-x for x in c), "symmetric")
+                          for c in self._coeffs)
+        if any(tuple(2 * x for x in c) in cindex for c in self._coeffs):
+            raise ValueError("system is not reduced")
+
+        # (beta, beta) = scale * c.b.c, an integer times the scale.
+        norms = tuple(sum(ci * b[i][j] * c[j] for i, ci in enumerate(c) if ci
+                          for j in range(n))
+                      for c in self._coeffs)
+        if any(q <= 0 for q in norms):
             raise ValueError("form not positive on a root")
+        if len(set(norms)) > 2:
+            raise ValueError("more than two root lengths")
+        self._sq = tuple(scale * q for q in norms)
         self.max_sq_length = max(self._sq)
         self.min_sq_length = min(self._sq)
-        if len(set(self._sq)) > 2:
-            raise ValueError("more than two root lengths")
-        for k, beta in enumerate(self.roots):
-            if vscale(2, beta) in self._index:
-                raise ValueError(f"system is not reduced at {beta}")
 
         # Pairing functionals: <v, alpha_i^v> = dot(_pair_func[i], v).
-        self._pair_func = tuple(
-            vscale(Fraction(2, 1) / linalg.form_value(self.form, a, a), g)
-            for a, g in zip(self.simples, gsimple))
-
-        cartan = []
-        for i, a in enumerate(self.simples):
-            row = []
-            for j in range(self.rank):
-                c = dot(self._pair_func[j], a)
-                if c.denominator != 1:
-                    raise NonIntegralSolution("non-integer Cartan entry")
-                row.append(int(c))
-            cartan.append(tuple(row))
-        self.cartan = tuple(cartan)
+        self._pair_func = tuple(vscale(Fraction(2, 1) / gram[i][i], g)
+                                for i, g in enumerate(gsimple))
 
         # Dual coefficients: beta^v = sum c_i alpha_i^v with
-        # c_i = m_i (alpha_i, alpha_i) / (beta, beta).
-        dual = []
-        for coeffs, q in zip(self._coeffs, self._sq):
-            row = []
-            for m, a in zip(coeffs, self.simples):
-                c = m * linalg.form_value(self.form, a, a) / q
-                if c.denominator != 1:
-                    raise NonIntegralSolution("non-integer coroot coefficient")
-                row.append(int(c))
-            dual.append(tuple(row))
-        self._dual_coeffs = tuple(dual)
+        # c_i = m_i (alpha_i, alpha_i) / (beta, beta) = m_i * 2 d_i / (c.b.c).
+        nums = [(tuple(2 * m * di for m, di in zip(c, d)), q)
+                for c, q in zip(self._coeffs, norms)]
+        if any(x % q for row, q in nums for x in row):
+            raise NonIntegralSolution("non-integer coroot coefficient")
+        self._dual_coeffs = tuple(tuple(x // q for x in row) for row, q in nums)
 
         # Simple-reflection permutation tables double as the closure check.
-        table = []
-        for i in range(self.rank):
-            perm = []
-            for beta in self.roots:
-                image = vsub(beta, vscale(dot(self._pair_func[i], beta),
-                                          self.simples[i]))
-                k = self._index.get(image)
-                if k is None:
-                    raise ValueError(
-                        f"root set is not closed under reflection s_{i}")
-                perm.append(k)
-            table.append(tuple(perm))
-        self._refl_table = tuple(table)
+        self._refl_table = tuple(
+            tuple(lookup(_reflect(c, i, a), f"closed under s_{i}")
+                  for c in self._coeffs)
+            for i in range(n))
 
-        self._heights = {b: sum(c) for b, c, p in
+        self._heights = {r: sum(c) for r, c, p in
                          zip(self.roots, self._coeffs, self._is_positive) if p}
         self._dual: RootSystem | None = None
         self._fundamental_weights: tuple[Vector, ...] | None = None
         self._dominant_roots: tuple[Vector, Vector] | None = None
-
-    def _require_index(self, v: Vector) -> int:
-        k = self._index.get(v)
-        if k is None:
-            raise ValueError(f"root set is not symmetric: missing {v}")
-        return k
 
     # -- lookups ---------------------------------------------------------
 
@@ -379,27 +370,59 @@ def _classical_data(ctype: CartanType):
     return 3, simples, short + long_
 
 
+def _reflect(c: tuple[int, ...], i: int, cartan) -> tuple[int, ...]:
+    """s_i on base coefficients: c_i -= <beta, alpha_i^v> = sum_j c_j A[j][i]."""
+    p = sum(x * row[i] for x, row in zip(c, cartan))
+    return c[:i] + (c[i] - p,) + c[i + 1:]
+
+
+def _reflection_closure(cartan) -> list[tuple[int, ...]]:
+    """All roots as base coefficients: breadth-first closure of the base
+    under the simple reflections, in integers."""
+    n = len(cartan)
+    queue = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    seen = set(queue)
+    for v in queue:  # the queue grows while it is walked
+        for i in range(n):
+            w = _reflect(v, i, cartan)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+        # A finite type has rank * Coxeter number <= 4 * rank^2 roots.
+        if len(seen) > 4 * n * n:
+            raise ValueError("reflection closure did not terminate")
+    return queue
+
+
 def build_system(ctype: CartanType | str) -> RootSystem:
     """Canonical model of an irreducible root system.
 
-    Classical families and G2 use their standard coordinates; E and F types
-    are generated by reflection closure from the Cartan matrix.
+    Every type is generated by reflection closure from its Cartan matrix.
+    Classical families and G2 then embed each root into their standard
+    coordinates, and the embedded root set must equal the textbook list;
+    E and F types keep base coefficients as coordinates.
     """
     if isinstance(ctype, str):
         ctype = CartanType.parse(ctype)
     if ctype.family in _EXACT_RANKS and ctype.family != "G":
         return closure_system(ctype)
-    dim, simples, roots = _classical_data(ctype)
+    dim, simples, textbook = _classical_data(ctype)
     form = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    return RootSystem(ctype, dim, simples, roots, form)
+    a = cartan_matrix(ctype)
+    s = RootSystem(ctype, dim, simples, _reflection_closure(a), form, a)
+    if set(s.roots) != set(textbook):
+        raise ValueError(f"{ctype}: closure embedding differs from the "
+                         "textbook root list")
+    return s
 
 
 def closure_system(ctype: CartanType | str) -> RootSystem:
     """Cartan-matrix model: coordinates are base coefficients.
 
     Roots are generated by breadth-first reflection closure of the base, all
-    in integer arithmetic; the form is the symmetrized Cartan matrix. Used
-    canonically for E/F types and as the cross-check model for the rest.
+    in integer arithmetic; the form is the symmetrized Cartan matrix. This
+    is ``build_system`` for E/F types and, for the rest, the same roots
+    before their embedding into standard coordinates.
     """
     if isinstance(ctype, str):
         ctype = CartanType.parse(ctype)
@@ -407,27 +430,8 @@ def closure_system(ctype: CartanType | str) -> RootSystem:
     n = ctype.rank
     d = symmetrizer(a)
     form = [[Fraction(a[i][j] * d[j]) for j in range(n)] for i in range(n)]
-
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    seen = set(simples)
-    queue = list(simples)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for i in range(n):
-            c = sum(v[j] * a[j][i] for j in range(n))
-            if c == 0:
-                continue
-            w = list(v)
-            w[i] -= c
-            w = tuple(w)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-        if len(seen) > 4096:
-            raise ValueError("reflection closure did not terminate")
-    return RootSystem(ctype, n, simples, sorted(seen), form)
+    return RootSystem(ctype, n, simples, _reflection_closure(a), form, a)
 
 
 # -- operations ------------------------------------------------------------
@@ -462,13 +466,15 @@ def dual_system(s: RootSystem) -> RootSystem:
 
     Simple roots are the coroots of the original base in matching index
     order (the numbering follows the primal system, not the dual's own
-    Bourbaki convention). Applying dual_system twice returns the original
+    Bourbaki convention), so the Cartan matrix is the transpose and each
+    coroot's coefficients are the primal ``dual_base_coefficients``: no
+    closure is rerun. Applying dual_system twice returns the original
     root set.
     """
     if s._dual is None:
-        duals = [coroot(s, b) for b in s.roots]
         simples = [coroot(s, a) for a in s.simples]
-        s._dual = RootSystem(_dual_ctype(s.ctype), s.dim, simples, duals, s.form)
+        s._dual = RootSystem(_dual_ctype(s.ctype), s.dim, simples,
+                             s._dual_coeffs, s.form, linalg.transpose(s.cartan))
     return s._dual
 
 

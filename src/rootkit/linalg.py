@@ -28,10 +28,6 @@ def zero_vector(dim: int) -> Vector:
     return (ZERO,) * dim
 
 
-def basis_vector(dim: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(dim))
-
-
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
@@ -47,10 +43,6 @@ def vneg(u: Vector) -> Vector:
 def vscale(c, u: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in u)
-
-
-def is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
@@ -88,30 +80,3 @@ def invert(m: Matrix) -> Matrix:
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
-
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free-ish row elimination."""
-    n = len(m)
-    rows = [list(row) for row in m]
-    det = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = ONE / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester's criterion with exact leading principal minors."""
-    n = len(m)
-    return all(determinant(tuple(row[: k + 1] for row in m[: k + 1])) > 0
-               for k in range(n))

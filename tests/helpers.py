@@ -78,6 +78,39 @@ def ambient_orbit(s: RootSystem, seed, subset) -> list:
     return queue
 
 
+def solve_base_coefficients(simples, form, vectors) -> list:
+    """Coefficients of each vector over ``simples``, from ambient data alone.
+
+    One exact Gauss-Jordan elimination on the Gram matrix of ``simples``,
+    with the pairings ((v, a_i))_i of every vector as right-hand sides; each
+    solution is then checked to rebuild its vector, so a vector outside the
+    span fails. Shares no code with the engine's integer construction.
+    """
+    from rootkit.linalg import dot, mat_vec
+
+    n = len(simples)
+    gsimple = [mat_vec(form, a) for a in simples]
+    rows = [[dot(a, g) for g in gsimple] + [dot(v, ga) for v in vectors]
+            for a, ga in zip(simples, gsimple)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    out = []
+    for k, v in enumerate(vectors):
+        coeffs = tuple(rows[i][n + k] for i in range(n))
+        recon = zero_vector(len(v))
+        for c, a in zip(coeffs, simples):
+            recon = vadd(recon, vscale(c, a))
+        assert recon == tuple(v), f"{v} is outside the span of the base"
+        out.append(coeffs)
+    return out
+
+
 def random_weight_vectors(s: RootSystem, count: int, seed: int,
                           lo: int = -3, hi: int = 3) -> list:
     """Random integer combinations of the fundamental weights."""

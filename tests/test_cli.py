@@ -148,6 +148,25 @@ class TestVerify:
         assert "checked 2 systems" in path.read_text()
 
 
+class TestOutErrors:
+    @pytest.mark.parametrize("argv", [
+        ["describe", "A2"], ["classify", "A2"], ["verify", "--types", "A1"],
+    ])
+    def test_missing_directory_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "x"
+        assert main([*argv, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert not path.parent.exists()
+
+    def test_missing_directory_no_traceback(self, tmp_path):
+        proc = run_cli("describe", "A2", "--out", str(tmp_path / "missing" / "x"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write ")
+
+
 class TestWitness:
     def test_a3_index_1(self, capsys):
         assert main(["witness", "A3", "1"]) == 0

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import get_system, raw_pairing, type_names
+from helpers import get_system, raw_pairing, solve_base_coefficients, type_names
 from rootkit import (
     CartanType,
     InadmissibleRank,
     LengthClass,
     NotARoot,
     ParseError,
+    RootSystem,
     admissible_types,
     cartan_matrix,
     closure_system,
@@ -20,7 +21,7 @@ from rootkit import (
     pairing,
     symmetrizer,
 )
-from rootkit.linalg import form_value, vadd, vneg, vscale
+from rootkit.linalg import dot, form_value, mat_vec, vadd, vneg, vscale, vsub
 
 Q = Fraction
 
@@ -244,3 +245,59 @@ def test_base_expansion_signs(name):
         for c, a in zip(coeffs[1:], s.simples[1:]):
             recon = vadd(recon, vscale(c, a))
         assert recon == b
+
+
+@pytest.mark.parametrize("name", type_names(8))
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_integer_tables_match_ambient_oracle(name, dual):
+    """Every integer-derived table agrees with an exact solve and textbook
+    reflections v - 2(v, a)/(a, a) a over ambient coordinates."""
+    s = get_system(name)
+    if dual:
+        s = dual_system(s)
+    norms = [form_value(s.form, b, b) for b in s.roots]
+    coeffs = solve_base_coefficients(s.simples, s.form, s.roots)
+    cobase = [vscale(Q(2) / form_value(s.form, a, a), a) for a in s.simples]
+    coroots = [vscale(Q(2) / q, b) for b, q in zip(s.roots, norms)]
+    dual_coeffs = solve_base_coefficients(cobase, s.form, coroots)
+    gsimple = [mat_vec(s.form, a) for a in s.simples]
+    for idx, b in enumerate(s.roots):
+        assert s.base_coefficients(idx) == coeffs[idx]
+        assert s.dual_base_coefficients(idx) == dual_coeffs[idx]
+        assert s.sq_length(idx) == norms[idx]
+        assert s.roots[s.negation(idx)] == vneg(b)
+        for i, (a, ga) in enumerate(zip(s.simples, gsimple)):
+            image = vsub(b, vscale(2 * dot(b, ga) / dot(a, ga), a))
+            assert s.roots[s.reflect_root_index(i, idx)] == image
+
+
+def test_build_rejects_embedding_off_textbook(monkeypatch):
+    import rootkit.core as core
+
+    real = core._classical_data
+
+    def wrong_list(ctype):
+        dim, simples, roots = real(ctype)
+        return dim, simples, roots[1:] + [tuple(2 * x for x in roots[0])]
+
+    monkeypatch.setattr(core, "_classical_data", wrong_list)
+    with pytest.raises(ValueError, match="textbook"):
+        core.build_system("B3")
+
+
+@pytest.mark.parametrize("name,cartan", [
+    ("B3", ((2, -1, 0), (-1, 2, -1), (0, -2, 2))),  # C3's: lengths differ
+    ("A3", ((2, -1, -1), (-1, 2, 0), (-1, 0, 2))),  # renumbered: angles differ
+])
+def test_rejects_cartan_matrix_of_another_base(name, cartan):
+    s = get_system(name)
+    coeffs = [s.base_coefficients(k) for k in range(len(s.roots))]
+    with pytest.raises(ValueError, match="Gram matrix"):
+        RootSystem(s.ctype, s.dim, s.simples, coeffs, s.form, cartan)
+
+
+def test_closure_of_affine_cartan_matrix_stops():
+    from rootkit.core import _reflection_closure
+
+    with pytest.raises(ValueError, match="did not terminate"):
+        _reflection_closure(((2, -2), (-2, 2)))
