@@ -10,8 +10,11 @@ The report checks, for each simple root alpha, that three facts agree:
       i.e. some element avoiding alpha's own reflection already takes
       alpha to its dominant representative.
 
-When P3 holds the row carries an explicit witness word avoiding alpha's
-index.
+P3 reads the full-base dominant conjugate off the root system instead of
+reducing alpha over the whole base: every root is Weyl-conjugate to the one
+dominant root of its length, so it is the highest root when alpha is long
+and the highest short root otherwise. Only the Levi reduction runs. When
+P3 holds the row carries that reduction's word, which avoids alpha's index.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from fractions import Fraction
 from . import linalg
 from .core import CartanType, RootSystem
 from .errors import NotPositiveRoot
-from .linalg import Vector, vector, vscale
-from .weyl import WeylWord, dominant_rep, full_base, levi_subset
+from .linalg import Vector, vector
+from .weyl import WeylWord, dominant_rep, levi_subset
 
 
 @dataclass(frozen=True)
@@ -64,29 +67,13 @@ def multiplicities(s: RootSystem, beta) -> MultiplicityProfile:
                                s.dual_base_coefficients(idx))
 
 
-def _dominant_roots(s: RootSystem) -> tuple[Vector, Vector]:
-    if s._dominant_roots is None:
-        dom = [b for b in s.positives
-               if all(s.pair_simple(b, i) >= 0 for i in range(s.rank))]
-        if s.is_simply_laced:
-            assert len(dom) == 1, "simply-laced systems have one dominant root"
-            s._dominant_roots = (dom[0], dom[0])
-        else:
-            assert len(dom) == 2, "multi-laced systems have two dominant roots"
-            longs = [b for b in dom if s.sq_length(s.index(b)) == s.max_sq_length]
-            shorts = [b for b in dom if s.sq_length(s.index(b)) == s.min_sq_length]
-            assert len(longs) == 1 and len(shorts) == 1
-            s._dominant_roots = (longs[0], shorts[0])
-    return s._dominant_roots
-
-
 def highest_roots(s: RootSystem) -> tuple[Vector, Vector]:
     """(highest root, dual of the highest coroot).
 
     The first is the dominant long root; the second is the highest short
     root in multi-laced systems and equals the first otherwise.
     """
-    return _dominant_roots(s)
+    return s.highest_root, s.highest_short
 
 
 def height(s: RootSystem, beta) -> int:
@@ -118,16 +105,7 @@ def fundamental_weight(s: RootSystem, i: int) -> Vector:
     orthogonal to all roots is zero. May be non-integral (A1 gives alpha/2).
     """
     s.check_simple_index(i)
-    if s._fundamental_weights is None:
-        inv = linalg.invert(linalg.matrix(s.cartan))
-        weights = []
-        for row in inv:
-            eta = linalg.zero_vector(s.dim)
-            for c, a in zip(row, s.simples):
-                eta = linalg.vadd(eta, vscale(c, a))
-            weights.append(eta)
-        s._fundamental_weights = tuple(weights)
-    return s._fundamental_weights[i]
+    return s.fundamental_weights[i]
 
 
 def is_quasi_constant(s: RootSystem, chi) -> bool:
@@ -156,7 +134,8 @@ def theorem_row(s: RootSystem, i: int) -> ClassificationRow:
     m = s.base_coefficients(s.index(top))[i]
     m_dual = s.dual_base_coefficients(s.index(top_short))[i]
     quasi = is_quasi_constant(s, fundamental_weight(s, i))
-    dom_full, _ = dominant_rep(s, alpha, full_base(s))
+    long_ = s.sq_length(s.index(alpha)) == s.max_sq_length
+    dom_full = top if long_ else top_short
     dom_levi, levi_word = dominant_rep(s, alpha, levi_subset(s, i))
     p3 = dom_full == dom_levi
     return ClassificationRow(
@@ -198,17 +177,11 @@ def descent_blockers(s: RootSystem, i: int) -> list[Vector]:
     """
     s.check_simple_index(i)
     alpha = s.simples[i]
-    out = []
-    for beta in s.positives:
-        idx = s.index(beta)
-        if beta == alpha or s.sq_length(idx) != s.max_sq_length:
-            continue
-        if s.base_coefficients(idx)[i] > 1:
-            continue
-        if all(linalg.form_value(s.form, beta, s.simples[j]) <= 0
-               for j in range(s.rank) if j != i):
-            out.append(beta)
-    return out
+    return [beta for idx, beta in enumerate(s.roots)
+            if s.is_positive_index(idx) and beta != alpha
+            and s.sq_length(idx) == s.max_sq_length
+            and s.base_coefficients(idx)[i] <= 1
+            and all(p <= 0 for j, p in enumerate(s.simple_pairings(idx)) if j != i)]
 
 
 def levi_orbit_multiplicity_violations(s: RootSystem) -> list[tuple[int, Vector, Vector]]:

@@ -1,7 +1,8 @@
 """Command-line surface: describe, classify, verify, witness.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error or an
-``--out`` file that cannot be written, 3 precondition failure (e.g.
+Exit codes: 0 success, 1 verification failure (including an internal
+invariant that failed to hold, ``InvariantViolation``), 2 usage/parse error
+or an ``--out`` file that cannot be written, 3 precondition failure (e.g.
 requesting a witness for a simple root that is neither special nor
 co-special). Simple-root indices on this surface are 0-based; the 1-based
 Bourbaki label is shown alongside as "aN".
@@ -27,10 +28,11 @@ from .core import CartanType, admissible_types, build_system
 from .errors import (
     BadIndex,
     InadmissibleRank,
+    InvariantViolation,
     ParseError,
     RootSystemError,
 )
-from .weyl import apply_word, dominant_rep, full_base, reflect
+from .weyl import reflect
 from .witness import dominant_witness
 
 ENV_MAX_RANK = "ROOTKIT_MAX_RANK"
@@ -100,13 +102,7 @@ def cmd_describe(args) -> int:
 
 def cmd_classify(args) -> int:
     s = build_system(CartanType.parse(args.ctype))
-    rep = verify_theorem(s)
-    for row in rep.rows:
-        if row.witness is not None:
-            alpha = s.simples[row.simple_index]
-            dom, _ = dominant_rep(s, alpha, full_base(s))
-            assert apply_word(s, row.witness, alpha) == dom
-    doc = report_mod.document_from_report(s, rep)
+    doc = report_mod.document_from_report(s, verify_theorem(s))
     if args.format == "json":
         _write(report_mod.to_json(doc), args.out)
     elif args.format == "csv":
@@ -179,7 +175,9 @@ def cmd_witness(args) -> int:
     for letter in reversed(res.word.letters):
         v = reflect(s, letter, v)
         lines.append(f"  s_{letter}: {_vec_str(v)}")
-    assert v == res.target
+    if v != res.target:
+        raise InvariantViolation(f"replay reaches {_vec_str(v)}, "
+                                 f"not the target {_vec_str(res.target)}")
     lines.append("verified: replay reaches the target")
     print("\n".join(lines))
     return 0
@@ -232,6 +230,9 @@ def main(argv=None) -> int:
     except (ParseError, InadmissibleRank, BadIndex, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except RootSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -157,7 +158,10 @@ class RootSystem:
     ``dual_system``. Roots arrive as integer coefficient tuples over the
     base; every combinatorial table is derived from the Cartan matrix in
     integer arithmetic, and ambient vectors are the embedding
-    ``sum c_i * simples[i]``. Validated at construction time:
+    ``sum c_i * simples[i]``. One integer table, the pairing of every root
+    with every simple coroot, gives the reflection tables and the highest
+    root and highest short root. The dual system and the fundamental
+    weights are computed on first use. Validated at construction time:
 
     - the form is symmetric;
     - the ambient Gram matrix of the base is a positive multiple of the
@@ -166,7 +170,8 @@ class RootSystem:
     - no root is zero and each has sign-homogeneous coefficients;
     - the root set is symmetric, reduced (2c is never a root), has at
       most two lengths, and is closed under every simple reflection;
-    - dual (coroot) coefficients are integers.
+    - dual (coroot) coefficients are integers;
+    - there is exactly one dominant root per root length.
     """
 
     def __init__(self, ctype: CartanType, dim: int, simples, coeffs, form,
@@ -249,17 +254,30 @@ class RootSystem:
             raise NonIntegralSolution("non-integer coroot coefficient")
         self._dual_coeffs = tuple(tuple(x // q for x in row) for row, q in nums)
 
-        # Simple-reflection permutation tables double as the closure check.
+        # Pairings with the simple coroots, <beta, alpha_j^v> = sum_k c_k A[k][j].
+        self._simple_pairings = tuple(
+            tuple(sum(x * row[j] for x, row in zip(c, a) if x) for j in range(n))
+            for c in self._coeffs)
+
+        # Simple-reflection permutation tables (c_i -= <beta, alpha_i^v>)
+        # double as the closure check.
         self._refl_table = tuple(
-            tuple(lookup(_reflect(c, i, a), f"closed under s_{i}")
-                  for c in self._coeffs)
+            tuple(lookup(c[:i] + (c[i] - p[i],) + c[i + 1:], f"closed under s_{i}")
+                  for c, p in zip(self._coeffs, self._simple_pairings))
             for i in range(n))
+
+        # The dominant roots are the positive roots pairing >= 0 with every
+        # simple coroot: the highest root and the highest short root.
+        dominant = [[k for k, p in enumerate(self._simple_pairings)
+                     if self._is_positive[k] and min(p) >= 0 and self._sq[k] == q]
+                    for q in (self.max_sq_length, self.min_sq_length)]
+        if any(len(ks) != 1 for ks in dominant):
+            raise ValueError("not exactly one dominant root per root length")
+        self.highest_root = self.roots[dominant[0][0]]
+        self.highest_short = self.roots[dominant[1][0]]
 
         self._heights = {r: sum(c) for r, c, p in
                          zip(self.roots, self._coeffs, self._is_positive) if p}
-        self._dual: RootSystem | None = None
-        self._fundamental_weights: tuple[Vector, ...] | None = None
-        self._dominant_roots: tuple[Vector, Vector] | None = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -286,6 +304,9 @@ class RootSystem:
             raise BadIndex(f"simple index {i!r} out of range 0..{self.rank - 1}")
         return i
 
+    def is_positive_index(self, idx: int) -> bool:
+        return self._is_positive[idx]
+
     def base_coefficients(self, idx: int) -> tuple[int, ...]:
         return self._coeffs[idx]
 
@@ -306,6 +327,10 @@ class RootSystem:
         """<v, alpha_i^v>, exact."""
         return dot(self._pair_func[i], v)
 
+    def simple_pairings(self, idx: int) -> tuple[int, ...]:
+        """<roots[idx], alpha_j^v> for every simple index j, as integers."""
+        return self._simple_pairings[idx]
+
     def reflect_root_index(self, i: int, idx: int) -> int:
         """Image of root idx under the i-th simple reflection, as an index."""
         return self._refl_table[i][idx]
@@ -314,6 +339,22 @@ class RootSystem:
     def heights(self) -> dict[Vector, int]:
         """Height of every positive root."""
         return dict(self._heights)
+
+    @cached_property
+    def dual(self) -> "RootSystem":
+        """The system of coroots; see ``dual_system``."""
+        simples = [coroot(self, a) for a in self.simples]
+        return RootSystem(_dual_ctype(self.ctype), self.dim, simples,
+                          self._dual_coeffs, self.form,
+                          linalg.transpose(self.cartan))
+
+    @cached_property
+    def fundamental_weights(self) -> tuple[Vector, ...]:
+        """Dual basis to the simple coroots, inside the span of the roots:
+        row i of the inverse Cartan matrix, over the base."""
+        cols = linalg.transpose(self.simples)
+        return tuple(mat_vec(cols, row)
+                     for row in linalg.invert(linalg.matrix(self.cartan)))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype}, |roots|={len(self.roots)})"
@@ -471,11 +512,7 @@ def dual_system(s: RootSystem) -> RootSystem:
     closure is rerun. Applying dual_system twice returns the original
     root set.
     """
-    if s._dual is None:
-        simples = [coroot(s, a) for a in s.simples]
-        s._dual = RootSystem(_dual_ctype(s.ctype), s.dim, simples,
-                             s._dual_coeffs, s.form, linalg.transpose(s.cartan))
-    return s._dual
+    return s.dual
 
 
 def length_class(s: RootSystem, beta) -> LengthClass:

@@ -25,11 +25,15 @@ class BadIndex(RootSystemError):
     """A simple-root index is out of range."""
 
 
-class NonIntegralSolution(RootSystemError):
-    """Expressing a root over the base produced non-integer coefficients.
+class InvariantViolation(RootSystemError):
+    """A mathematical invariant the package relies on failed to hold.
 
-    Signals a construction bug rather than bad user input.
+    Signals a bug in the package rather than bad user input.
     """
+
+
+class NonIntegralSolution(InvariantViolation):
+    """Expressing a root over the base produced non-integer coefficients."""
 
 
 class NotSpecial(RootSystemError):

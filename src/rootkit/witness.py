@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .classify import highest_roots, is_cospecial, is_special
 from .core import RootSystem, dual_system
 from .errors import (
+    InvariantViolation,
     MultiplicityZero,
     NeitherSpecialNorCospecial,
     NotLong,
@@ -60,19 +60,21 @@ def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
     letters: list[int] = []
     cur = idx
     while cur != alpha_idx:
-        root = s.roots[cur]
-        j = next((j for j in range(s.rank)
-                  if j != i and linalg.form_value(s.form, root, s.simples[j]) > 0),
-                 None)
-        assert j is not None, "descent stalled on a non-simple root"
+        j = next((j for j, p in enumerate(s.simple_pairings(cur))
+                  if j != i and p > 0), None)
+        if j is None:
+            raise InvariantViolation("descent stalled on a non-simple root")
         nxt = s.reflect_root_index(j, cur)
-        assert s.height_of_index(nxt) < s.height_of_index(cur)
-        assert s.base_coefficients(nxt)[i] == s.base_coefficients(cur)[i]
+        if s.height_of_index(nxt) >= s.height_of_index(cur):
+            raise InvariantViolation(f"s_{j} did not lower the height")
+        if s.base_coefficients(nxt)[i] != s.base_coefficients(cur)[i]:
+            raise InvariantViolation(f"s_{j} changed the alpha_{i} coefficient")
         letters.append(j)
         cur = nxt
 
     word = WeylWord(tuple(letters))
-    assert apply_word(s, word, s.simples[i]) == beta
+    if apply_word(s, word, s.simples[i]) != beta:
+        raise InvariantViolation(f"word {word.letters} misses the target")
     return WitnessResult(word=word, source=s.simples[i], target=beta)
 
 
@@ -92,7 +94,9 @@ def dominant_witness(s: RootSystem, i: int) -> WitnessResult:
         dual = dual_system(s)
         res = levi_conjugator(dual, i, highest_roots(dual)[0])
         target = apply_word(s, res.word, alpha)
-        assert target == highest_roots(s)[1]
+        if target != highest_roots(s)[1]:
+            raise InvariantViolation(
+                f"dual word maps alpha_{i} off the highest short root")
         return WitnessResult(word=res.word, source=alpha, target=target)
     raise NeitherSpecialNorCospecial(
         f"simple root {i} of {s.ctype} is neither special nor co-special")

@@ -11,7 +11,9 @@ from rootkit import (
     NotPositiveRoot,
     coroot,
     descent_blockers,
+    dominant_rep,
     dual_system,
+    full_base,
     fundamental_weight,
     height,
     highest_roots,
@@ -19,6 +21,7 @@ from rootkit import (
     is_quasi_constant,
     is_special,
     levi_orbit_multiplicity_violations,
+    levi_subset,
     multiplicities,
     pairing,
     theorem_row,
@@ -305,6 +308,21 @@ class TestVerifyTheorem:
         rep = verify_theorem(get_system("C4"))
         assert [r.simple_index for r in rep.rows if r.special] == [3]
         assert [r.simple_index for r in rep.rows if r.cospecial] == [0]
+
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_full_base_reduction_oracle(self, name):
+        # Every root reduces over the full base to the dominant root of its
+        # length, which is what theorem_row reads instead of reducing.
+        s = get_system(name)
+        top, top_short = highest_roots(s)
+        for idx, b in enumerate(s.roots):
+            want = top if s.sq_length(idx) == s.max_sq_length else top_short
+            assert dominant_rep(s, b, full_base(s))[0] == want
+        for row in verify_theorem(s).rows:
+            alpha = s.simples[row.simple_index]
+            dom_full, _ = dominant_rep(s, alpha, full_base(s))
+            dom_levi, _ = dominant_rep(s, alpha, levi_subset(s, row.simple_index))
+            assert row.dom_eq_levi_dom == (dom_full == dom_levi)
 
     def test_heights_map(self):
         s = get_system("G2")

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, formats, determinism, round-trips."""
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -11,14 +13,14 @@ from rootkit.cli import main
 from rootkit.report import document_from_report, from_json, to_csv, to_json, to_table
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, python_flags=()):
     import os
     full_env = dict(os.environ)
     full_env.pop("ROOTKIT_MAX_RANK", None)
     if env:
         full_env.update(env)
     proc = subprocess.run(
-        [sys.executable, "-m", "rootkit", *args],
+        [sys.executable, *python_flags, "-m", "rootkit", *args],
         capture_output=True, text=True, env=full_env)
     return proc
 
@@ -193,6 +195,48 @@ class TestWitness:
     def test_no_command_usage(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+
+class TestInvariantChecks:
+    @pytest.mark.parametrize("argv", [
+        ["witness", "B3", "2"], ["witness", "A3", "1"],
+        ["classify", "F4", "--format", "json"],
+    ])
+    def test_optimized_python_same_output(self, argv):
+        plain = run_cli(*argv)
+        optimized = run_cli(*argv, python_flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout == optimized.stdout
+
+    def test_no_assert_in_package(self):
+        import rootkit
+
+        files = sorted(pathlib.Path(rootkit.__file__).parent.glob("*.py"))
+        assert files
+        for path in files:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            assert lines == [], f"assert in {path.name} at lines {lines}"
+
+    def test_corrupt_replay_exit_1(self, monkeypatch, capsys):
+        import rootkit.cli as cli
+
+        monkeypatch.setattr(cli, "reflect", lambda s, i, v: v)
+        assert main(["witness", "B3", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: replay reaches ")
+
+    def test_construction_bug_exit_1(self, monkeypatch, capsys):
+        import rootkit.cli as cli
+        from rootkit import NonIntegralSolution
+
+        def broken(ctype):
+            raise NonIntegralSolution("non-integer coroot coefficient")
+
+        monkeypatch.setattr(cli, "build_system", broken)
+        assert main(["describe", "A2"]) == 1
+        assert capsys.readouterr().err == "error: non-integer coroot coefficient\n"
 
 
 def test_console_script_help():

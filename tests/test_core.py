@@ -17,6 +17,7 @@ from rootkit import (
     closure_system,
     coroot,
     dual_system,
+    highest_roots,
     length_class,
     pairing,
     symmetrizer,
@@ -269,6 +270,13 @@ def test_integer_tables_match_ambient_oracle(name, dual):
         for i, (a, ga) in enumerate(zip(s.simples, gsimple)):
             image = vsub(b, vscale(2 * dot(b, ga) / dot(a, ga), a))
             assert s.roots[s.reflect_root_index(i, idx)] == image
+            assert s.simple_pairings(idx)[i] == 2 * dot(b, ga) / dot(a, ga)
+    # The dominant roots: positive, pairing >= 0 with every simple root.
+    dominant = [(norms[idx], b) for idx, b in enumerate(s.roots)
+                if all(c >= 0 for c in coeffs[idx])
+                and all(dot(b, ga) >= 0 for ga in gsimple)]
+    assert sorted(q for q, _ in dominant) == sorted(set(norms))
+    assert highest_roots(s) == (max(dominant)[1], min(dominant)[1])
 
 
 def test_build_rejects_embedding_off_textbook(monkeypatch):

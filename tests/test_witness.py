@@ -6,6 +6,7 @@ import pytest
 
 from helpers import get_system, type_names
 from rootkit import (
+    InvariantViolation,
     LengthClass,
     MultiplicityZero,
     NeitherSpecialNorCospecial,
@@ -15,6 +16,7 @@ from rootkit import (
     NotSpecial,
     WeylWord,
     apply_word,
+    build_system,
     dominant_rep,
     dominant_witness,
     full_base,
@@ -147,3 +149,44 @@ class TestDominantWitness:
             d, _ = dominant_rep(s, s.simples[i], full_base(s))
             assert res.target == d
             assert apply_word(s, res.word, s.simples[i]) == d
+
+
+class TestInvariantViolations:
+    """Each internal check raises InvariantViolation on a corrupted system;
+    the checks are explicit code, so they also run under python -O."""
+
+    def test_descent_stall(self, monkeypatch):
+        s = build_system("A3")
+        monkeypatch.setattr(s, "simple_pairings", lambda idx: (0,) * s.rank)
+        with pytest.raises(InvariantViolation, match="stalled"):
+            levi_conjugator(s, 0, highest_roots(s)[0])
+
+    def test_height_not_lowered(self, monkeypatch):
+        s = build_system("A3")
+        monkeypatch.setattr(s, "reflect_root_index", lambda j, idx: idx)
+        with pytest.raises(InvariantViolation, match="height"):
+            levi_conjugator(s, 0, highest_roots(s)[0])
+
+    def test_alpha_coefficient_changed(self, monkeypatch):
+        s = build_system("A3")
+        other = s.index(s.simples[1])
+        monkeypatch.setattr(s, "reflect_root_index", lambda j, idx: other)
+        with pytest.raises(InvariantViolation, match="coefficient"):
+            levi_conjugator(s, 0, highest_roots(s)[0])
+
+    def test_replay_misses_target(self, monkeypatch):
+        import rootkit.witness as witness
+
+        s = get_system("A3")
+        monkeypatch.setattr(witness, "apply_word", lambda s, word, v: v)
+        with pytest.raises(InvariantViolation, match="misses the target"):
+            levi_conjugator(s, 0, highest_roots(s)[0])
+
+    def test_cospecial_target_checked(self, monkeypatch):
+        import rootkit.witness as witness
+
+        s = get_system("B3")
+        monkeypatch.setattr(witness, "highest_roots",
+                            lambda t: (highest_roots(t)[0],) * 2)
+        with pytest.raises(InvariantViolation, match="highest short root"):
+            dominant_witness(s, 2)
