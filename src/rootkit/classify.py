@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import linalg
 from .core import CartanType, RootSystem
 from .errors import NotPositiveRoot
-from .linalg import Vector, vector
+from .linalg import Vector, vector, vector_str
 from .weyl import WeylWord, dominant_rep, levi_subset
 
 
@@ -80,7 +80,8 @@ def height(s: RootSystem, beta) -> int:
     """Sum of the base coefficients of a positive root."""
     beta = vector(beta)
     if not s.is_positive_root(beta):
-        raise NotPositiveRoot(f"{beta} is not a positive root of {s.ctype}")
+        raise NotPositiveRoot(
+            f"{vector_str(beta)} is not a positive root of {s.ctype}")
     return s.height_of_index(s.index(beta))
 
 
@@ -169,6 +170,13 @@ def verify_theorem(s: RootSystem) -> TheoremReport:
 # -- enumerative property checks -------------------------------------------
 
 
+def descent_letter(s: RootSystem, i: int, idx: int) -> int | None:
+    """First j != i with <roots[idx], alpha_j^v> > 0, the witness descent's
+    next letter; None where the descent stalls."""
+    return next((j for j, p in enumerate(s.simple_pairings(idx))
+                 if j != i and p > 0), None)
+
+
 def descent_blockers(s: RootSystem, i: int) -> list[Vector]:
     """Long positive roots other than alpha_i that would stall the witness
     descent: they contain alpha_i at most once yet pair nonpositively with
@@ -181,32 +189,22 @@ def descent_blockers(s: RootSystem, i: int) -> list[Vector]:
             if s.is_positive_index(idx) and beta != alpha
             and s.sq_length(idx) == s.max_sq_length
             and s.base_coefficients(idx)[i] <= 1
-            and all(p <= 0 for j, p in enumerate(s.simple_pairings(idx)) if j != i)]
+            and descent_letter(s, i, idx) is None]
 
 
 def levi_orbit_multiplicity_violations(s: RootSystem) -> list[tuple[int, Vector, Vector]]:
     """Pairs of roots in one maximal-Levi orbit whose coefficients at the
     deleted simple root differ. Reflections avoiding alpha_i cannot change
-    the alpha_i coefficient, so this list must be empty.
+    the alpha_i coefficient, so this list must be empty. A Levi orbit is
+    connected, so checking every edge beta -> s_j(beta), j != i, suffices.
     """
     out = []
-    nroots = len(s.roots)
     for i in range(s.rank):
         gens = [j for j in range(s.rank) if j != i]
-        seen = [False] * nroots
-        for start in range(nroots):
-            if seen[start]:
-                continue
-            queue = [start]
-            seen[start] = True
-            want = s.base_coefficients(start)[i]
-            while queue:
-                cur = queue.pop()
-                for j in gens:
-                    nxt = s.reflect_root_index(j, cur)
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        if s.base_coefficients(nxt)[i] != want:
-                            out.append((i, s.roots[start], s.roots[nxt]))
-                        queue.append(nxt)
+        for k, beta in enumerate(s.roots):
+            want = s.base_coefficients(k)[i]
+            for j in gens:
+                nxt = s.reflect_root_index(j, k)
+                if s.base_coefficients(nxt)[i] != want:
+                    out.append((i, beta, s.roots[nxt]))
     return out

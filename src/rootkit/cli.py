@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     RootSystemError,
 )
+from .linalg import vector_str
 from .weyl import reflect
 from .witness import dominant_witness
 
@@ -52,10 +53,6 @@ def _write(text: str, out_path: str | None) -> None:
     except OSError as exc:
         raise OutputError(
             f"cannot write {out_path}: {exc.strerror or exc}") from exc
-
-
-def _vec_str(v) -> str:
-    return "[" + ", ".join(report_mod.rational_str(x) for x in v) + "]"
 
 
 def cmd_describe(args) -> int:
@@ -86,16 +83,16 @@ def cmd_describe(args) -> int:
         "simple roots:",
     ]
     for i, a in enumerate(s.simples):
-        lines.append(f"  {i} (a{i + 1}): {_vec_str(a)}")
-    lines.append(f"highest root: {_vec_str(top)} (height {height(s, top)})")
-    lines.append(f"highest short root: {_vec_str(top_short)} "
+        lines.append(f"  {i} (a{i + 1}): {vector_str(a)}")
+    lines.append(f"highest root: {vector_str(top)} (height {height(s, top)})")
+    lines.append(f"highest short root: {vector_str(top_short)} "
                  f"(height {height(s, top_short)})")
     lines.append("positive roots by height:")
     for b in s.positives:
-        lines.append(f"  {height(s, b):3d}  {_vec_str(b)}")
+        lines.append(f"  {height(s, b):3d}  {vector_str(b)}")
     lines.append("form (Gram matrix):")
     for row in s.form:
-        lines.append(f"  {_vec_str(row)}")
+        lines.append(f"  {vector_str(row)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -139,6 +136,9 @@ def cmd_verify(args, parser) -> int:
         s = build_system(ctype)
         rep = verify_theorem(s)
         blockers = sum(len(descent_blockers(s, i)) for i in range(s.rank))
+        for row in rep.rows:
+            if row.special or row.cospecial:
+                dominant_witness(s, row.simple_index)
         violations = len(levi_orbit_multiplicity_violations(s))
         ok = rep.all_equivalent and blockers == 0 and violations == 0
         if not ok:
@@ -164,20 +164,20 @@ def cmd_witness(args) -> int:
     s.check_simple_index(i)
     res = dominant_witness(s, i)
     lines = [
-        f"type {s.ctype}, simple root {i} (a{i + 1}) = {_vec_str(res.source)}",
-        f"target dom = {_vec_str(res.target)}",
+        f"type {s.ctype}, simple root {i} (a{i + 1}) = {vector_str(res.source)}",
+        f"target dom = {vector_str(res.target)}",
         f"word (0-based letters, applied last to first): "
         f"[{' '.join(str(x) for x in res.word)}]",
         "replay:",
-        f"  start: {_vec_str(res.source)}",
+        f"  start: {vector_str(res.source)}",
     ]
     v = res.source
     for letter in reversed(res.word.letters):
         v = reflect(s, letter, v)
-        lines.append(f"  s_{letter}: {_vec_str(v)}")
+        lines.append(f"  s_{letter}: {vector_str(v)}")
     if v != res.target:
-        raise InvariantViolation(f"replay reaches {_vec_str(v)}, "
-                                 f"not the target {_vec_str(res.target)}")
+        raise InvariantViolation(f"replay reaches {vector_str(v)}, "
+                                 f"not the target {vector_str(res.target)}")
     lines.append("verified: replay reaches the target")
     print("\n".join(lines))
     return 0

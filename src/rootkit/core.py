@@ -283,9 +283,10 @@ class RootSystem:
 
     def index(self, v) -> int:
         """Index of a root in ``roots``; raises NotARoot otherwise."""
-        k = self._index.get(vector(v))
+        v = vector(v)
+        k = self._index.get(v)
         if k is None:
-            raise NotARoot(f"{tuple(v)} is not a root of {self.ctype}")
+            raise NotARoot(f"{linalg.vector_str(v)} is not a root of {self.ctype}")
         return k
 
     def is_root(self, v) -> bool:

@@ -20,6 +20,11 @@ def vector(entries) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
+def vector_str(v) -> str:
+    """Exact rendering for messages and text output, e.g. ``[-1, 1/2, 0]``."""
+    return "[" + ", ".join(str(Fraction(x)) for x in v) + "]"
+
+
 def matrix(rows) -> Matrix:
     return tuple(vector(row) for row in rows)
 

@@ -1,20 +1,20 @@
 """Explicit Levi-Weyl words conjugating a special simple root to any long
 root containing it, and a simple root to its dominant representative.
 
-The conjugator is built by height descent: starting from the target, keep
-reflecting at some other simple root with strictly positive inner product
-(one exists whenever the current root differs from alpha), which lowers the
-height while preserving length, positivity and the alpha-coefficient. The
-collected letters, in collection order, form a word that maps alpha to the
-target under apply_word's last-letter-first convention.
+Both come from one height descent in the caller's system: starting from the
+target, keep reflecting at the first other simple root with strictly
+positive pairing (one exists whenever the current root differs from alpha),
+which lowers the height while preserving length, positivity and the
+alpha-coefficient. The collected letters, in collection order, form a word
+that maps alpha to the target under apply_word's last-letter-first convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import highest_roots, is_cospecial, is_special
-from .core import RootSystem, dual_system
+from .classify import descent_letter, highest_roots, is_cospecial, is_special
+from .core import RootSystem
 from .errors import (
     InvariantViolation,
     MultiplicityZero,
@@ -23,7 +23,7 @@ from .errors import (
     NotPositiveRoot,
     NotSpecial,
 )
-from .linalg import Vector
+from .linalg import Vector, vector_str
 from .weyl import WeylWord, apply_word
 
 
@@ -37,31 +37,14 @@ class WitnessResult:
     target: Vector
 
 
-def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
-    """Word in the reflections avoiding alpha_i that maps alpha_i to beta.
-
-    Requires alpha_i special, beta a long positive root, and alpha_i
-    appearing in beta. Negative targets are not accepted; negate before
-    calling if needed.
-    """
-    s.check_simple_index(i)
-    if not is_special(s, i):
-        raise NotSpecial(f"simple root {i} of {s.ctype} is not special")
-    idx = s.index(beta)
-    beta = s.roots[idx]
-    if not s.is_positive_root(beta):
-        raise NotPositiveRoot(f"{beta} is not positive")
-    if s.sq_length(idx) != s.max_sq_length:
-        raise NotLong(f"{beta} is not a long root")
-    if s.base_coefficients(idx)[i] == 0:
-        raise MultiplicityZero(f"simple root {i} does not appear in {beta}")
-
-    alpha_idx = s.index(s.simples[i])
+def _descend(s: RootSystem, i: int, idx: int) -> WitnessResult:
+    """Walk root idx down to alpha_i, checking every step and the replay."""
+    alpha = s.simples[i]
+    alpha_idx = s.index(alpha)
     letters: list[int] = []
     cur = idx
     while cur != alpha_idx:
-        j = next((j for j, p in enumerate(s.simple_pairings(cur))
-                  if j != i and p > 0), None)
+        j = descent_letter(s, i, cur)
         if j is None:
             raise InvariantViolation("descent stalled on a non-simple root")
         nxt = s.reflect_root_index(j, cur)
@@ -73,30 +56,49 @@ def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
         cur = nxt
 
     word = WeylWord(tuple(letters))
-    if apply_word(s, word, s.simples[i]) != beta:
+    if apply_word(s, word, alpha) != s.roots[idx]:
         raise InvariantViolation(f"word {word.letters} misses the target")
-    return WitnessResult(word=word, source=s.simples[i], target=beta)
+    return WitnessResult(word=word, source=alpha, target=s.roots[idx])
+
+
+def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
+    """Word in the reflections avoiding alpha_i that maps alpha_i to beta.
+
+    Requires alpha_i special, beta a long positive root, and alpha_i
+    appearing in beta. Negative targets are not accepted; negate before
+    calling if needed.
+    """
+    s.check_simple_index(i)
+    if not is_special(s, i):
+        raise NotSpecial(f"simple root {i} of {s.ctype} is not special")
+    idx = s.index(beta)
+    shown = vector_str(s.roots[idx])
+    if not s.is_positive_index(idx):
+        raise NotPositiveRoot(f"{shown} is not positive")
+    if s.sq_length(idx) != s.max_sq_length:
+        raise NotLong(f"{shown} is not a long root")
+    if s.base_coefficients(idx)[i] == 0:
+        raise MultiplicityZero(f"simple root {i} does not appear in {shown}")
+    return _descend(s, i, idx)
 
 
 def dominant_witness(s: RootSystem, i: int) -> WitnessResult:
     """Word avoiding alpha_i that maps alpha_i to its dominant conjugate.
 
-    Special roots are conjugated straight to the highest root. Co-special
-    roots go through the dual system: the same letter sequence that takes
-    alpha_i^v to the highest coroot takes alpha_i to the highest short root,
-    because reflections commute with taking coroots.
+    The descent starts at the highest root for a special root (always long)
+    and at the highest short root for a co-special, non-special one (always
+    short): <beta, alpha_j^v> has the sign of the dual pairing of beta^v, so
+    the walk picks the letters of the descent on coroots.
     """
     s.check_simple_index(i)
-    alpha = s.simples[i]
+    top, top_short = highest_roots(s)
     if is_special(s, i):
-        return levi_conjugator(s, i, highest_roots(s)[0])
+        return _descend(s, i, s.index(top))
     if is_cospecial(s, i):
-        dual = dual_system(s)
-        res = levi_conjugator(dual, i, highest_roots(dual)[0])
-        target = apply_word(s, res.word, alpha)
-        if target != highest_roots(s)[1]:
+        start = s.index(top_short)
+        if s.sq_length(start) != s.sq_length(s.index(s.simples[i])):
             raise InvariantViolation(
-                f"dual word maps alpha_{i} off the highest short root")
-        return WitnessResult(word=res.word, source=alpha, target=target)
+                f"alpha_{i} is not as long as the highest short root")
+        return _descend(s, i, start)
     raise NeitherSpecialNorCospecial(
         f"simple root {i} of {s.ctype} is neither special nor co-special")

@@ -9,6 +9,7 @@ from helpers import ambient_orbit, get_system, raw_pairing, type_names
 from rootkit import (
     BadIndex,
     NotPositiveRoot,
+    build_system,
     coroot,
     descent_blockers,
     dominant_rep,
@@ -342,6 +343,26 @@ class TestEnumerativeChecks:
     @pytest.mark.parametrize("name", type_names(6))
     def test_no_levi_multiplicity_violations(self, name):
         assert levi_orbit_multiplicity_violations(get_system(name)) == []
+
+    def test_descent_blockers_found_when_nothing_pairs_positively(self, monkeypatch):
+        s = build_system("A3")
+        monkeypatch.setattr(s, "simple_pairings", lambda idx: (0,) * s.rank)
+        expected = [b for b in s.positives
+                    if b != s.simples[0]
+                    and s.sq_length(s.index(b)) == s.max_sq_length
+                    and multiplicities(s, b).coeffs[0] <= 1]
+        assert len(expected) == 5
+        assert descent_blockers(s, 0) == expected
+
+    def test_levi_violations_found_when_a_reflection_changes_alpha(self, monkeypatch):
+        s = build_system("A3")
+        reflect = s.reflect_root_index
+        monkeypatch.setattr(s, "reflect_root_index",
+                            lambda j, idx: s.negation(reflect(j, idx)))
+        found = levi_orbit_multiplicity_violations(s)
+        assert found
+        for i, beta, gamma in found:
+            assert multiplicities(s, beta).coeffs[i] != multiplicities(s, gamma).coeffs[i]
 
     @pytest.mark.parametrize("name", type_names(8))
     def test_nonpositive_elsewhere_forces_positive_at_alpha(self, name):

@@ -227,6 +227,15 @@ class TestInvariantChecks:
         assert captured.out == ""
         assert captured.err.startswith("error: replay reaches ")
 
+    def test_verify_replays_witnesses(self, monkeypatch, capsys):
+        import rootkit.witness as witness
+
+        monkeypatch.setattr(witness, "apply_word", lambda s, word, v: v)
+        assert main(["verify", "--types", "B3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "misses the target" in captured.err
+
     def test_construction_bug_exit_1(self, monkeypatch, capsys):
         import rootkit.cli as cli
         from rootkit import NonIntegralSolution

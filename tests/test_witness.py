@@ -14,11 +14,13 @@ from rootkit import (
     NotLong,
     NotPositiveRoot,
     NotSpecial,
+    RootSystem,
     WeylWord,
     apply_word,
     build_system,
     dominant_rep,
     dominant_witness,
+    dual_system,
     full_base,
     height,
     highest_roots,
@@ -149,6 +151,55 @@ class TestDominantWitness:
             d, _ = dominant_rep(s, s.simples[i], full_base(s))
             assert res.target == d
             assert apply_word(s, res.word, s.simples[i]) == d
+
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_cospecial_matches_dual_descent(self, name):
+        # Oracle: descend on coroots in the dual system, where alpha_i^v is
+        # special, and keep the letters.
+        s = get_system(name)
+        dual = dual_system(s)
+        for i in range(s.rank):
+            if is_special(s, i) or not is_cospecial(s, i):
+                continue
+            res = dominant_witness(s, i)
+            assert res.word == levi_conjugator(dual, i, highest_roots(dual)[0]).word
+            assert res.target == highest_roots(s)[1]
+
+    def test_never_builds_the_dual_system(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dual system built")
+
+        monkeypatch.setattr(RootSystem, "dual", property(refuse))
+        for name in ("B3", "C4", "F4", "G2"):
+            s = build_system(name)
+            for i in range(s.rank):
+                if is_special(s, i) or is_cospecial(s, i):
+                    assert dominant_witness(s, i).word.avoids(i)
+
+
+class TestErrorMessages:
+    """Vectors in error messages are rendered exactly, as on the CLI."""
+
+    @pytest.mark.parametrize("call, error, shown", [
+        (lambda: levi_conjugator(get_system("A3"), 0,
+                                 vneg(get_system("A3").simples[0])),
+         NotPositiveRoot, "[-1, 1, 0, 0] is not positive"),
+        (lambda: get_system("F4").index(vec(-1, 1, 0, 0)),
+         NotARoot, "[-1, 1, 0, 0] is not a root of F4"),
+        (lambda: height(get_system("A3"), vec(-1, 1, 0, 0)),
+         NotPositiveRoot, "[-1, 1, 0, 0] is not a positive root of A3"),
+        (lambda: get_system("A3").index(vec(Q(1, 2), 0, 0, 0)),
+         NotARoot, "[1/2, 0, 0, 0] is not a root of A3"),
+        (lambda: levi_conjugator(get_system("B3"), 0, vec(1, 0, 0)),
+         NotLong, "[1, 0, 0] is not a long root"),
+        (lambda: levi_conjugator(get_system("B3"), 0, vec(0, 1, 1)),
+         MultiplicityZero, "simple root 0 does not appear in [0, 1, 1]"),
+    ])
+    def test_vectors_rendered(self, call, error, shown):
+        with pytest.raises(error) as info:
+            call()
+        assert shown in str(info.value)
+        assert "Fraction(" not in str(info.value)
 
 
 class TestInvariantViolations:
