@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     RootSystemError,
 )
-from .linalg import vector_str
+from .linalg import vector_str, vector_strs
 from .weyl import reflect
 from .witness import dominant_witness
 
@@ -66,13 +66,13 @@ def cmd_describe(args) -> int:
             "dimension": s.dim,
             "simply_laced": s.is_simply_laced,
             "root_count": len(s.roots),
-            "simples": [list(report_mod.vector_strs(a)) for a in s.simples],
-            "roots": [list(report_mod.vector_strs(b)) for b in s.roots],
-            "positives": [list(report_mod.vector_strs(b)) for b in s.positives],
+            "simples": [vector_strs(a) for a in s.simples],
+            "roots": [vector_strs(b) for b in s.roots],
+            "positives": [vector_strs(b) for b in s.positives],
             "heights": [height(s, b) for b in s.positives],
-            "form": [list(report_mod.vector_strs(row)) for row in s.form],
-            "highest_root": list(report_mod.vector_strs(top)),
-            "highest_short": list(report_mod.vector_strs(top_short)),
+            "form": [vector_strs(row) for row in s.form],
+            "highest_root": vector_strs(top),
+            "highest_short": vector_strs(top_short),
         }
         _write(json.dumps(payload, indent=2) + "\n", args.out)
         return 0

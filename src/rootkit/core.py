@@ -289,9 +289,6 @@ class RootSystem:
             raise NotARoot(f"{linalg.vector_str(v)} is not a root of {self.ctype}")
         return k
 
-    def is_root(self, v) -> bool:
-        return vector(v) in self._index
-
     def is_positive_root(self, v) -> bool:
         k = self._index.get(vector(v))
         return k is not None and self._is_positive[k]

@@ -20,29 +20,22 @@ def vector(entries) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
+def vector_strs(v) -> tuple[str, ...]:
+    """Exact per-entry rendering, e.g. ``("-1", "1/2", "0")``."""
+    return tuple(str(Fraction(x)) for x in v)
+
+
 def vector_str(v) -> str:
     """Exact rendering for messages and text output, e.g. ``[-1, 1/2, 0]``."""
-    return "[" + ", ".join(str(Fraction(x)) for x in v) + "]"
+    return "[" + ", ".join(vector_strs(v)) + "]"
 
 
 def matrix(rows) -> Matrix:
     return tuple(vector(row) for row in rows)
 
 
-def zero_vector(dim: int) -> Vector:
-    return (ZERO,) * dim
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
 
 
 def vscale(c, u: Vector) -> Vector:

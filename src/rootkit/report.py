@@ -2,7 +2,9 @@
 
 Rationals are serialized as exact strings ("3", "-1/2"), never floats, and
 all orderings are fixed at construction, so emitted documents are
-byte-for-byte reproducible and parse back to equal values.
+byte-for-byte reproducible and parse back to equal values. The dataclasses
+are the schema: JSON keys and CSV columns are their fields in declaration
+order, and ``from_json`` rejects a field of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -10,26 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 
 from .classify import TheoremReport
 from .core import RootSystem
-from .linalg import Vector
+from .linalg import vector_strs
 
 SCHEMA_VERSION = "1"
-
-
-def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def vector_strs(v: Vector) -> tuple[str, ...]:
-    return tuple(rational_str(x) for x in v)
-
-
-def parse_vector(items) -> tuple[str, ...]:
-    return tuple(str(Fraction(x)) for x in items)
 
 
 @dataclass(frozen=True)
@@ -82,81 +71,76 @@ def document_from_report(s: RootSystem, report: TheoremReport) -> ReportDocument
 
 
 def to_json(doc: ReportDocument) -> str:
-    payload = {
-        "schema_version": doc.schema_version,
-        "ctype": doc.ctype,
-        "all_equivalent": doc.all_equivalent,
-        "highest_root": list(doc.highest_root),
-        "highest_short": list(doc.highest_short),
-        "rows": [
-            {
-                "index": r.index,
-                "bourbaki": r.bourbaki,
-                "simple_root": list(r.simple_root),
-                "m": r.m,
-                "m_dual": r.m_dual,
-                "special": r.special,
-                "cospecial": r.cospecial,
-                "quasi_constant": r.quasi_constant,
-                "dom_eq_levi_dom": r.dom_eq_levi_dom,
-                "witness": list(r.witness) if r.witness is not None else None,
-            }
-            for r in doc.rows
-        ],
-    }
+    """Every field in declaration order; tuples become arrays."""
+    payload = {**vars(doc), "rows": [vars(r) for r in doc.rows]}
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _list_of(t):
+    return lambda x: type(x) is list and all(type(e) is t for e in x)
+
+
+# The JSON type each field must have, keyed by its annotation. json.loads
+# yields exact types, so ``type(x) is int`` also rules out booleans.
+_JSON_SHAPES = {
+    "str": lambda x: type(x) is str,
+    "int": lambda x: type(x) is int,
+    "bool": lambda x: type(x) is bool,
+    "tuple[str, ...]": _list_of(str),
+    "tuple[int, ...] | None": lambda x: x is None or _list_of(int)(x),
+    "tuple[ReportRow, ...]": lambda x: type(x) is list,
+}
+
+
+def _parse(cls, data):
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__}: expected a JSON object, got {data!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in data:
+            raise ValueError(f"{cls.__name__}: missing field {f.name!r}")
+        x = data[f.name]
+        if not _JSON_SHAPES[f.type](x):
+            raise ValueError(f"{cls.__name__}: field {f.name!r} has the wrong "
+                             f"JSON type for {f.type}: {x!r}")
+        if f.type == "tuple[str, ...]":
+            try:
+                x = vector_strs(x)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{cls.__name__}: field {f.name!r} is not a "
+                                 f"list of rationals: {x!r}") from None
+        elif f.type == "tuple[ReportRow, ...]":
+            x = tuple(_parse(ReportRow, r) for r in x)
+        elif isinstance(x, list):
+            x = tuple(x)
+        values[f.name] = x
+    return cls(**values)
+
+
 def from_json(text: str) -> ReportDocument:
-    data = json.loads(text)
-    rows = tuple(
-        ReportRow(
-            index=int(r["index"]),
-            bourbaki=int(r["bourbaki"]),
-            simple_root=parse_vector(r["simple_root"]),
-            m=int(r["m"]),
-            m_dual=int(r["m_dual"]),
-            special=bool(r["special"]),
-            cospecial=bool(r["cospecial"]),
-            quasi_constant=bool(r["quasi_constant"]),
-            dom_eq_levi_dom=bool(r["dom_eq_levi_dom"]),
-            witness=tuple(int(x) for x in r["witness"]) if r["witness"] is not None else None,
-        )
-        for r in data["rows"]
-    )
-    return ReportDocument(
-        schema_version=str(data["schema_version"]),
-        ctype=str(data["ctype"]),
-        all_equivalent=bool(data["all_equivalent"]),
-        highest_root=parse_vector(data["highest_root"]),
-        highest_short=parse_vector(data["highest_short"]),
-        rows=rows,
-    )
+    """Parse a document, checking the JSON type of every field.
+
+    Raises ``ValueError`` naming the first missing or wrong-typed field.
+    Rationals come back in canonical form ("2/4" -> "1/2").
+    """
+    return _parse(ReportDocument, json.loads(text))
 
 
-_CSV_FIELDS = ["ctype", "index", "bourbaki", "simple_root", "m", "m_dual",
-               "special", "cospecial", "quasi_constant", "dom_eq_levi_dom",
-               "witness"]
+def _csv_cell(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, tuple):
+        return " ".join(map(str, x))
+    return "" if x is None else x
 
 
 def to_csv(doc: ReportDocument) -> str:
+    """One line per row: ``ctype`` and then the JSON row keys, in order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    writer.writerow(["ctype", *(f.name for f in fields(ReportRow))])
     for r in doc.rows:
-        writer.writerow([
-            doc.ctype,
-            r.index,
-            r.bourbaki,
-            " ".join(r.simple_root),
-            r.m,
-            r.m_dual,
-            str(r.special).lower(),
-            str(r.cospecial).lower(),
-            str(r.quasi_constant).lower(),
-            str(r.dom_eq_levi_dom).lower(),
-            " ".join(str(x) for x in r.witness) if r.witness is not None else "",
-        ])
+        writer.writerow([doc.ctype, *map(_csv_cell, vars(r).values())])
     return buf.getvalue()
 
 

@@ -12,9 +12,21 @@ import random
 from fractions import Fraction
 
 from rootkit import RootSystem, build_system, fundamental_weight
-from rootkit.linalg import form_value, vadd, vscale, zero_vector
+from rootkit.linalg import form_value, vscale
 
 _SYSTEMS: dict[str, RootSystem] = {}
+
+
+def zero_vector(dim: int) -> tuple:
+    return (Fraction(0),) * dim
+
+
+def vadd(u, v) -> tuple:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vneg(u) -> tuple:
+    return tuple(-a for a in u)
 
 
 def get_system(name: str) -> RootSystem:

@@ -10,8 +10,9 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
-from helpers import ambient_orbit, get_system, random_weight_vectors, type_names
+from helpers import ambient_orbit, get_system, random_weight_vectors, type_names, vadd
 from rootkit import (
     LengthClass,
     apply_word,
@@ -31,7 +32,7 @@ from rootkit import (
     orbit,
     reflect,
 )
-from rootkit.linalg import form_value, vadd, vscale
+from rootkit.linalg import form_value, vscale
 
 Q = Fraction
 
@@ -183,27 +184,40 @@ def test_c07_constructive_conjugators():
 
 
 def test_c08_dominance_oracle_equivalence():
-    from rootkit.linalg import dot, mat_vec
+    def scaled(x, k):
+        # k * x as integers, or None when k does not clear a denominator of x
+        if any(k % c.denominator for c in x):
+            return None
+        return tuple(c.numerator * (k // c.denominator) for c in x)
 
-    def key(x):
-        return tuple((c.numerator, c.denominator) for c in x)
+    def idot(u, w):
+        return sum(a * b for a, b in zip(u, w))
 
     mismatches = 0
     cases = 0
     for name in type_names(4):
         s = get_system(name)
-        galpha = [mat_vec(s.form, a) for a in s.simples]
-        norm = [dot(a, g) for a, g in zip(s.simples, galpha)]
+        # A positive multiple of the form is as good as the form: every
+        # reflection reads only the ratio 2(x, a)/(a, a).
+        form_den = lcm(*(e.denominator for row in s.form for e in row))
+        form = [scaled(row, form_den) for row in s.form]
+        simples_den = lcm(*(c.denominator for a in s.simples for c in a))
         subsets = [tuple(range(s.rank))] + \
             [tuple(j for j in range(s.rank) if j != i) for i in range(s.rank)]
         for v in random_weight_vectors(s, 200, seed=20250 + s.rank):
+            # Work in the lattice (1/L)Z^dim, scaled by L to integers.
+            L = lcm(simples_den, *(c.denominator for c in v))
+            simples = [scaled(a, L) for a in s.simples]
+            galpha = [tuple(idot(row, a) for row in form) for a in simples]
+            norm = [idot(a, g) for a, g in zip(simples, galpha)]
+            v_int = scaled(v, L)
             for subset in subsets:
                 cases += 1
                 # Brute force from first principles: BFS with the textbook
                 # reflection formula, recording which elements have all
                 # pairings >= 0 on the subset.
-                seen = {key(v)}
-                queue = [v]
+                seen = {v_int}
+                queue = [v_int]
                 dominant = []
                 head = 0
                 while head < len(queue):
@@ -211,26 +225,26 @@ def test_c08_dominance_oracle_equivalence():
                     head += 1
                     x_dominant = True
                     for i in subset:
-                        d_i = dot(x, galpha[i])
+                        d_i = idot(x, galpha[i])
                         if d_i < 0:
                             x_dominant = False
                         if d_i == 0:
                             continue
-                        c = 2 * d_i / norm[i]
-                        w = tuple(a - c * b for a, b in zip(x, s.simples[i]))
-                        k = key(w)
-                        if k not in seen:
-                            seen.add(k)
+                        c, rem = divmod(2 * d_i, norm[i])
+                        assert rem == 0, f"{name}: 2(x, a)/(a, a) is not an integer"
+                        w = tuple(a - c * b for a, b in zip(x, simples[i]))
+                        if w not in seen:
+                            seen.add(w)
                             queue.append(w)
                     if x_dominant:
                         dominant.append(x)
                 d, word = dominant_rep(s, v, subset)
                 fast = orbit(s, v, subset)
                 if not (len(dominant) == 1
-                        and d == dominant[0]
+                        and scaled(d, L) == dominant[0]
                         and apply_word(s, word, v) == d
                         and len(fast) == len(queue)
-                        and {key(x) for x in fast.elements} == seen):
+                        and {scaled(x, L) for x in fast.elements} == seen):
                     mismatches += 1
     check(8, mismatches == 0,
           f"rank<=4 dominance brute force, {cases} cases, {mismatches} mismatches")

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ambient_orbit, get_system, raw_pairing, type_names
+from helpers import (
+    ambient_orbit,
+    get_system,
+    raw_pairing,
+    type_names,
+    vadd,
+    vneg,
+    zero_vector,
+)
 from rootkit import (
     BadIndex,
     NotPositiveRoot,
@@ -28,7 +36,7 @@ from rootkit import (
     theorem_row,
     verify_theorem,
 )
-from rootkit.linalg import form_value, vadd, vneg, vscale, zero_vector
+from rootkit.linalg import form_value, vscale
 
 Q = Fraction
 

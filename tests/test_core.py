@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import get_system, raw_pairing, solve_base_coefficients, type_names
+from helpers import (
+    get_system,
+    raw_pairing,
+    solve_base_coefficients,
+    type_names,
+    vadd,
+    vneg,
+)
 from rootkit import (
     CartanType,
     InadmissibleRank,
@@ -22,7 +29,7 @@ from rootkit import (
     pairing,
     symmetrizer,
 )
-from rootkit.linalg import dot, form_value, mat_vec, vadd, vneg, vscale, vsub
+from rootkit.linalg import dot, form_value, mat_vec, vscale, vsub
 
 Q = Fraction
 

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ambient_orbit, get_system, random_weight_vectors, type_names
+from helpers import (
+    ambient_orbit,
+    get_system,
+    random_weight_vectors,
+    type_names,
+    vadd,
+    vneg,
+    zero_vector,
+)
 from rootkit import (
     BadIndex,
     LengthClass,
@@ -21,7 +29,6 @@ from rootkit import (
     orbit,
     reflect,
 )
-from rootkit.linalg import vadd, vneg, zero_vector
 
 Q = Fraction
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import get_system, type_names
+from helpers import get_system, type_names, vneg
 from rootkit import (
     InvariantViolation,
     LengthClass,
@@ -30,7 +30,6 @@ from rootkit import (
     levi_conjugator,
     multiplicities,
 )
-from rootkit.linalg import vneg
 
 Q = Fraction
 
