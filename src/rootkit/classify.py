@@ -10,11 +10,11 @@ The report checks, for each simple root alpha, that three facts agree:
       i.e. some element avoiding alpha's own reflection already takes
       alpha to its dominant representative.
 
-P3 reads the full-base dominant conjugate off the root system instead of
-reducing alpha over the whole base: every root is Weyl-conjugate to the one
-dominant root of its length, so it is the highest root when alpha is long
-and the highest short root otherwise. Only the Levi reduction runs. When
-P3 holds the row carries that reduction's word, which avoids alpha's index.
+P3 is a sign test on one integer walk: ``levi_walk`` from -alpha, the
+witness descent's walk, ends at -beta with beta the Levi-dominant conjugate
+of alpha. A Weyl orbit has exactly one dominant element, so P3 holds iff
+beta is dominant, i.e. iff beta also pairs >= 0 with alpha^v. When P3 holds
+the row carries the walk's word, which avoids alpha's index.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from fractions import Fraction
 
 from . import linalg
 from .core import CartanType, RootSystem
-from .errors import NotPositiveRoot
+from .errors import InvariantViolation, NotPositiveRoot
 from .linalg import Vector, vector, vector_str
-from .weyl import WeylWord, dominant_rep, levi_subset
+from .weyl import WeylWord
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,12 @@ def is_quasi_constant(s: RootSystem, chi) -> bool:
 def theorem_row(s: RootSystem, i: int) -> ClassificationRow:
     """All per-simple-root facts plus the witness word when P3 holds."""
     s.check_simple_index(i)
-    alpha = s.simples[i]
     top, top_short = highest_roots(s)
     m = s.base_coefficients(s.index(top))[i]
     m_dual = s.dual_base_coefficients(s.index(top_short))[i]
     quasi = is_quasi_constant(s, fundamental_weight(s, i))
-    long_ = s.sq_length(s.index(alpha)) == s.max_sq_length
-    dom_full = top if long_ else top_short
-    dom_levi, levi_word = dominant_rep(s, alpha, levi_subset(s, i))
-    p3 = dom_full == dom_levi
+    letters, low = levi_walk(s, i, s.negation(s.index(s.simples[i])))
+    p3 = max(s.simple_pairings(low)) <= 0
     return ClassificationRow(
         simple_index=i,
         m=m,
@@ -147,7 +144,7 @@ def theorem_row(s: RootSystem, i: int) -> ClassificationRow:
         cospecial=(m_dual == 1),
         quasi_constant=quasi,
         dom_eq_levi_dom=p3,
-        witness=levi_word if p3 else None,
+        witness=WeylWord(tuple(reversed(letters))) if p3 else None,
     )
 
 
@@ -175,6 +172,22 @@ def descent_letter(s: RootSystem, i: int, idx: int) -> int | None:
     next letter; None where the descent stalls."""
     return next((j for j, p in enumerate(s.simple_pairings(idx))
                  if j != i and p > 0), None)
+
+
+def levi_walk(s: RootSystem, i: int, idx: int) -> tuple[list[int], int]:
+    """Reflect root idx at descent_letter until it stalls; the letters in
+    the order applied and the index where the walk ends. Every step must
+    lower the height and keep the alpha_i coefficient."""
+    letters: list[int] = []
+    while (j := descent_letter(s, i, idx)) is not None:
+        nxt = s.reflect_root_index(j, idx)
+        if s.height_of_index(nxt) >= s.height_of_index(idx):
+            raise InvariantViolation(f"s_{j} did not lower the height")
+        if s.base_coefficients(nxt)[i] != s.base_coefficients(idx)[i]:
+            raise InvariantViolation(f"s_{j} changed the alpha_{i} coefficient")
+        letters.append(j)
+        idx = nxt
+    return letters, idx
 
 
 def descent_blockers(s: RootSystem, i: int) -> list[Vector]:

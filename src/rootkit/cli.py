@@ -110,7 +110,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.types:
+    if args.types is not None:
         try:
             types = [CartanType.parse(t.strip()) for t in args.types.split(",")]
         except (ParseError, InadmissibleRank) as exc:
@@ -201,11 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively verify the equivalence "
                                       "and the orbit/multiplicity properties")
-    p.add_argument("--max-rank", type=int, default=None,
-                   help=f"check all admissible types up to this rank "
-                        f"(default: ${ENV_MAX_RANK} or 8)")
-    p.add_argument("--types", default=None,
-                   help="comma-separated explicit type list, e.g. G2,B3")
+    scope = p.add_mutually_exclusive_group()
+    scope.add_argument("--max-rank", type=int, default=None,
+                       help=f"check all admissible types up to this rank "
+                            f"(default: ${ENV_MAX_RANK} or 8)")
+    scope.add_argument("--types", default=None,
+                       help="comma-separated explicit type list, e.g. G2,B3")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("witness", help="explicit word conjugating a simple "

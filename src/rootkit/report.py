@@ -4,7 +4,8 @@ Rationals are serialized as exact strings ("3", "-1/2"), never floats, and
 all orderings are fixed at construction, so emitted documents are
 byte-for-byte reproducible and parse back to equal values. The dataclasses
 are the schema: JSON keys and CSV columns are their fields in declaration
-order, and ``from_json`` rejects a field of the wrong JSON type.
+order, and ``from_json`` rejects a field of the wrong JSON type, a key that
+is not a field, and a schema version other than ``SCHEMA_VERSION``.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def _parse(cls, data):
         if not _JSON_SHAPES[f.type](x):
             raise ValueError(f"{cls.__name__}: field {f.name!r} has the wrong "
                              f"JSON type for {f.type}: {x!r}")
+        if f.name == "schema_version" and x != SCHEMA_VERSION:
+            raise ValueError(f"{cls.__name__}: field {f.name!r} is {x!r}, "
+                             f"not {SCHEMA_VERSION!r}")
         if f.type == "tuple[str, ...]":
             try:
                 x = vector_strs(x)
@@ -114,13 +118,17 @@ def _parse(cls, data):
         elif isinstance(x, list):
             x = tuple(x)
         values[f.name] = x
+    unknown = sorted(data.keys() - values.keys())
+    if unknown:
+        raise ValueError(f"{cls.__name__}: unknown field {unknown[0]!r}")
     return cls(**values)
 
 
 def from_json(text: str) -> ReportDocument:
     """Parse a document, checking the JSON type of every field.
 
-    Raises ``ValueError`` naming the first missing or wrong-typed field.
+    Raises ``ValueError`` naming the first missing, wrong-typed or unknown
+    field, or a ``schema_version`` other than ``SCHEMA_VERSION``.
     Rationals come back in canonical form ("2/4" -> "1/2").
     """
     return _parse(ReportDocument, json.loads(text))

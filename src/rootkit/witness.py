@@ -1,8 +1,8 @@
 """Explicit Levi-Weyl words conjugating a special simple root to any long
 root containing it, and a simple root to its dominant representative.
 
-Both come from one height descent in the caller's system: starting from the
-target, keep reflecting at the first other simple root with strictly
+Both come from one height descent in the caller's system, classify.levi_walk:
+from the target, keep reflecting at the first other simple root with strictly
 positive pairing (one exists whenever the current root differs from alpha),
 which lowers the height while preserving length, positivity and the
 alpha-coefficient. The collected letters, in collection order, form a word
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import descent_letter, highest_roots, is_cospecial, is_special
+from .classify import highest_roots, is_cospecial, is_special, levi_walk
 from .core import RootSystem
 from .errors import (
     InvariantViolation,
@@ -38,23 +38,11 @@ class WitnessResult:
 
 
 def _descend(s: RootSystem, i: int, idx: int) -> WitnessResult:
-    """Walk root idx down to alpha_i, checking every step and the replay."""
+    """Walk root idx down to alpha_i by levi_walk; check the end and the replay."""
     alpha = s.simples[i]
-    alpha_idx = s.index(alpha)
-    letters: list[int] = []
-    cur = idx
-    while cur != alpha_idx:
-        j = descent_letter(s, i, cur)
-        if j is None:
-            raise InvariantViolation("descent stalled on a non-simple root")
-        nxt = s.reflect_root_index(j, cur)
-        if s.height_of_index(nxt) >= s.height_of_index(cur):
-            raise InvariantViolation(f"s_{j} did not lower the height")
-        if s.base_coefficients(nxt)[i] != s.base_coefficients(cur)[i]:
-            raise InvariantViolation(f"s_{j} changed the alpha_{i} coefficient")
-        letters.append(j)
-        cur = nxt
-
+    letters, end = levi_walk(s, i, idx)
+    if end != s.index(alpha):
+        raise InvariantViolation("descent stalled on a non-simple root")
     word = WeylWord(tuple(letters))
     if apply_word(s, word, alpha) != s.roots[idx]:
         raise InvariantViolation(f"word {word.letters} misses the target")

@@ -16,7 +16,9 @@ from helpers import (
 )
 from rootkit import (
     BadIndex,
+    InvariantViolation,
     NotPositiveRoot,
+    RootSystem,
     build_system,
     coroot,
     descent_blockers,
@@ -318,10 +320,11 @@ class TestVerifyTheorem:
         assert [r.simple_index for r in rep.rows if r.special] == [3]
         assert [r.simple_index for r in rep.rows if r.cospecial] == [0]
 
-    @pytest.mark.parametrize("name", type_names(8))
+    @pytest.mark.parametrize("name", type_names(8) + ["A9", "B9", "C9", "D9"])
     def test_full_base_reduction_oracle(self, name):
         # Every root reduces over the full base to the dominant root of its
-        # length, which is what theorem_row reads instead of reducing.
+        # length. theorem_row's sign test must agree with the two Fraction
+        # reductions of alpha, and its word with the Levi reduction's.
         s = get_system(name)
         top, top_short = highest_roots(s)
         for idx, b in enumerate(s.roots):
@@ -330,8 +333,40 @@ class TestVerifyTheorem:
         for row in verify_theorem(s).rows:
             alpha = s.simples[row.simple_index]
             dom_full, _ = dominant_rep(s, alpha, full_base(s))
-            dom_levi, _ = dominant_rep(s, alpha, levi_subset(s, row.simple_index))
+            dom_levi, levi_word = dominant_rep(s, alpha,
+                                               levi_subset(s, row.simple_index))
             assert row.dom_eq_levi_dom == (dom_full == dom_levi)
+            if row.dom_eq_levi_dom:
+                assert row.witness == levi_word
+
+    def test_p3_stays_on_the_root_tables(self, monkeypatch):
+        import rootkit.weyl as weyl
+
+        def refuse(*args):
+            raise AssertionError("left the integer root tables")
+
+        names = type_names(8)
+        want = [verify_theorem(get_system(n)).rows for n in names]
+        monkeypatch.setattr(RootSystem, "pair_simple", refuse)
+        monkeypatch.setattr(weyl, "dominant_rep", refuse)
+        monkeypatch.setattr(weyl, "apply_word", refuse)
+        assert [verify_theorem(build_system(n)).rows for n in names] == want
+
+    def test_p3_walk_checks_the_height(self, monkeypatch):
+        # An identity reflection table never stalls the walk; the step
+        # check must stop it at the first step, not loop forever.
+        s = build_system("A3")
+        steps = []
+
+        def identity(j, idx):
+            steps.append(j)
+            if len(steps) > 1:
+                raise AssertionError("a step that kept the height was taken")
+            return idx
+
+        monkeypatch.setattr(s, "reflect_root_index", identity)
+        with pytest.raises(InvariantViolation, match="height"):
+            theorem_row(s, 0)
 
     def test_heights_map(self):
         s = get_system("G2")

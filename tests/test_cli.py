@@ -144,6 +144,18 @@ class TestVerify:
         assert proc.returncode == 0
         assert "checked 1 systems" in proc.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["--types", ""],
+        ["--max-rank", "2", "--types", "A1"],
+    ])
+    def test_unrunnable_scope_usage_error(self, capsys, argv):
+        # An empty type list is not the default sweep, and --types does not
+        # override --max-rank.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "verify.txt"
         assert main(["verify", "--types", "B2,G2", "--out", str(path)]) == 0

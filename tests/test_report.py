@@ -160,6 +160,16 @@ class TestStrictParsing:
         with pytest.raises(ValueError, match=repr(path[-1])):
             from_json(_edited(path, value))
 
+    @pytest.mark.parametrize("path, value", [
+        (("schema_version", ), "99"),
+        (("schema_version", ), "1.0"),
+        (("extra", ), 1),
+        (("rows", 1, "note"), "x"),
+    ])
+    def test_other_schema_or_unknown_key_named(self, path, value):
+        with pytest.raises(ValueError, match=repr(path[-1])):
+            from_json(_edited(path, value))
+
     def test_missing_field_named(self):
         data = json.loads(JSON)
         del data["rows"][1]["cospecial"]
