@@ -109,12 +109,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     if args.types is not None:
         try:
             types = [CartanType.parse(t.strip()) for t in args.types.split(",")]
         except (ParseError, InadmissibleRank) as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     else:
         max_rank = args.max_rank
         if max_rank is None:
@@ -122,9 +122,9 @@ def cmd_verify(args, parser) -> int:
             try:
                 max_rank = int(raw)
             except ValueError:
-                parser.error(f"{ENV_MAX_RANK}={raw!r} is not an integer")
+                args.parser.error(f"{ENV_MAX_RANK}={raw!r} is not an integer")
         if max_rank < 1:
-            parser.error("--max-rank must be >= 1")
+            args.parser.error("--max-rank must be >= 1")
         types = admissible_types(max_rank)
 
     lines = []
@@ -208,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--types", default=None,
                        help="comma-separated explicit type list, e.g. G2,B3")
     p.add_argument("--out", default=None)
+    p.set_defaults(parser=p)  # cmd_verify's scope errors print this usage
 
     p = sub.add_parser("witness", help="explicit word conjugating a simple "
                                        "root to its dominant representative")
@@ -225,7 +226,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(args)
         if args.command == "verify":
-            return cmd_verify(args, parser)
+            return cmd_verify(args)
         if args.command == "witness":
             return cmd_witness(args)
     except (ParseError, InadmissibleRank, BadIndex, OutputError) as exc:

@@ -2,15 +2,14 @@
 
 Orbits and dominant reduction work for the full base as well as for any
 subset of simple indices (in particular the maximal-Levi subsets obtained
-by deleting one index). Internally both run in pairing coordinates
-lambda_i = <v, alpha_i^v>, where every simple reflection is an integer
-update through the Cartan matrix; ambient vectors are reconstructed with
-one exact reflection per discovered element. The public reflect/apply_word
-operate directly on ambient vectors.
+by deleting one index). Both run on one integer state per conjugate, whose
+single step updates the pairings and reflects the coordinates (``_start``).
+The public reflect/apply_word apply the textbook formula to ambient vectors.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +17,7 @@ from functools import cached_property
 from math import lcm
 
 from .core import RootSystem
+from .errors import BadIndex, InvariantViolation
 from .linalg import Vector, vector, vscale, vsub
 
 Subset = Iterable[int]
@@ -35,7 +35,10 @@ class WeylWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+        letters = tuple(self.letters)
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in letters):
+            raise BadIndex(f"Weyl word letters must be ints: {letters!r}")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -111,44 +114,43 @@ def apply_word(s: RootSystem, word: WeylWord, v) -> Vector:
     return v
 
 
-def _pairing_state(s: RootSystem, v: Vector) -> tuple[tuple[int, ...], int]:
-    """Integer pairing coordinates of v, with the denominator scaled out.
-
-    Reflections act on pairing coordinates by integer Cartan-matrix updates
-    and commute with scaling, so one common denominator up front keeps the
-    whole orbit in integer tuples.
-    """
+def _start(s: RootSystem, v: Vector) -> tuple[tuple[int, ...], list, int]:
+    """The integer state of v, the step rows and the scale. The state is
+    den*<v, alpha_j^v> for every j, then scale*v; row i is Cartan row i,
+    then (scale/den)*alpha_i, so state - state[i]*row_i is the state of
+    s_i(v). scale/den clears the simple roots' denominators."""
     lam = [s.pair_simple(v, i) for i in range(s.rank)]
-    den = lcm(*(x.denominator for x in lam)) if lam else 1
-    return tuple(int(x * den) for x in lam), den
+    den = lcm(*(x.denominator for x in lam))
+    scale = lcm(den * lcm(*(x.denominator for a in s.simples for x in a)),
+                *(x.denominator for x in v))
+    k = scale // den
+    rows = [a + tuple(x.numerator * (k // x.denominator) for x in alpha)
+            for a, alpha in zip(s.cartan, s.simples)]
+    state = (tuple(x.numerator * (den // x.denominator) for x in lam)
+             + tuple(x.numerator * (scale // x.denominator) for x in v))
+    return state, rows, scale
 
 
 def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     """Breadth-first closure of {v} under the chosen simple reflections."""
     gens = _checked_subset(s, subset)
     v = vector(v)
-    start, den = _pairing_state(s, v)
-    a = s.cartan
-    rng = range(s.rank)
-    seen = {start}
-    states = [start]
+    start, rows, scale = _start(s, v)
+    n = s.rank
+    seen = {start[:n]}  # the pairings determine a conjugate of v
+    queue = deque([start])
     elements = [v]
-    head = 0
-    while head < len(states):
-        lam = states[head]
-        base = elements[head]
-        head += 1
+    while queue:
+        state = queue.popleft()
         for i in gens:
-            li = lam[i]
-            if li == 0:
+            c = state[i]
+            if c == 0:
                 continue  # s_i fixes this element
-            new = tuple(lam[j] - li * a[i][j] for j in rng)
-            if new not in seen:
-                seen.add(new)
-                states.append(new)
-                # The stored state already knows <base, alpha_i^v> = li/den.
-                elements.append(vsub(base, vscale(Fraction(li, den),
-                                                  s.simples[i])))
+            new = tuple(x - c * r for x, r in zip(state, rows[i]))
+            if new[:n] not in seen:
+                seen.add(new[:n])
+                queue.append(new)
+                elements.append(tuple(Fraction(x, scale) for x in new[n:]))
     return Orbit(tuple(elements), frozenset(gens))
 
 
@@ -168,21 +170,15 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
     valid witness, with every letter in the subset, and is not reduced.
     """
     gens = _checked_subset(s, subset)
-    v = vector(v)
-    start, _ = _pairing_state(s, v)
-    lam = list(start)
-    a = s.cartan
-    rng = range(s.rank)
+    state, rows, scale = _start(s, vector(v))
     applied: list[int] = []
-    limit = len(s.positives) + 8  # descent length is at most |positive roots|
-    while True:
-        i = next((i for i in gens if lam[i] < 0), None)
+    # Each step lowers the number of positive roots pairing negatively.
+    for _ in range(len(s.positives) + 1):
+        i = next((i for i in gens if state[i] < 0), None)
         if i is None:
-            break
-        li = lam[i]
-        lam = [lam[j] - li * a[i][j] for j in rng]
+            word = WeylWord(tuple(reversed(applied)))
+            return tuple(Fraction(x, scale) for x in state[s.rank:]), word
+        c = state[i]
+        state = tuple(x - c * r for x, r in zip(state, rows[i]))
         applied.append(i)
-        if len(applied) > limit:
-            raise RuntimeError("dominant reduction failed to terminate")
-    word = WeylWord(tuple(reversed(applied)))
-    return apply_word(s, word, v), word
+    raise InvariantViolation("dominant reduction did not terminate")

@@ -156,6 +156,26 @@ class TestVerify:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv,env", [
+        (["--types", ""], None),
+        (["--types", "Z9"], None),
+        (["--max-rank", "0"], None),
+        ([], "x"),
+    ], ids=["empty-types", "unknown-type", "max-rank-0", "env-not-int"])
+    def test_scope_error_prints_verify_usage(self, capsys, monkeypatch,
+                                             argv, env):
+        if env is None:
+            monkeypatch.delenv("ROOTKIT_MAX_RANK", raising=False)
+        else:
+            monkeypatch.setenv("ROOTKIT_MAX_RANK", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: rootkit verify ")
+        assert "\nrootkit verify: error: " in captured.err
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "verify.txt"
         assert main(["verify", "--types", "B2,G2", "--out", str(path)]) == 0

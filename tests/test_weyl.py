@@ -9,6 +9,7 @@ from helpers import (
     ambient_orbit,
     get_system,
     random_weight_vectors,
+    raw_pairing,
     type_names,
     vadd,
     vneg,
@@ -16,9 +17,11 @@ from helpers import (
 )
 from rootkit import (
     BadIndex,
+    InvariantViolation,
     LengthClass,
     WeylWord,
     apply_word,
+    build_system,
     dominant_rep,
     full_base,
     highest_roots,
@@ -65,6 +68,16 @@ class TestReflect:
             reflect(s, 2, s.simples[0])
         with pytest.raises(BadIndex):
             reflect(s, -1, s.simples[0])
+
+
+class TestWeylWord:
+    @pytest.mark.parametrize("letters", [(0.9, True), (True,), (0, 1.0), ("1",)])
+    def test_rejects_letters_that_are_not_ints(self, letters):
+        with pytest.raises(BadIndex):
+            WeylWord(letters)
+
+    def test_keeps_int_letters(self):
+        assert WeylWord([2, 0, 1]).letters == (2, 0, 1)
 
 
 class TestApplyWord:
@@ -225,6 +238,79 @@ class TestDominantRep:
                 cur = reflect(s, i, cur)
                 assert s.pair_simple(cur, i) == -before > 0
             assert cur == d
+
+    def test_runaway_reduction_is_an_invariant_violation(self, monkeypatch):
+        # A zeroed Cartan row leaves the pairing at s_0 negative forever.
+        s = build_system("A2")
+        monkeypatch.setattr(s, "cartan", ((0, 0), s.cartan[1]))
+        with pytest.raises(InvariantViolation, match="terminate"):
+            dominant_rep(s, vneg(s.simples[0]), full_base(s))
+
+
+class TestAgainstAmbientOracle:
+    """orbit and dominant_rep against the set-based ambient BFS, on bases
+    with non-integral coordinates (dual G2, dual F4) and on seeds with a
+    component off the span of the roots (A3, G2), integer and rational."""
+
+    CASES = [
+        ("G2", True, vec(1, 2, 0)),
+        ("G2", True, vec(Q(1, 2), Q(-2, 3), 1)),
+        ("F4", True, vec(1, -2, 3, 1)),
+        ("F4", True, vec(Q(1, 2), 0, Q(-1, 3), 2)),
+        ("A3", False, vec(1, 2, 3, 5)),
+        ("A3", False, vec(Q(1, 2), Q(-1, 3), 2, 0)),
+        ("G2", False, vec(2, 0, -1)),
+        ("G2", False, vec(Q(1, 2), Q(1, 3), 0)),
+    ]
+
+    @pytest.mark.parametrize("name,dual,v", CASES, ids=[
+        "dual-G2-int", "dual-G2-rational", "dual-F4-int", "dual-F4-rational",
+        "A3-off-span-int", "A3-off-span-rational", "G2-off-span-int",
+        "G2-off-span-rational"])
+    def test_orbit_and_dominant_rep(self, name, dual, v):
+        s = get_system(name).dual if dual else get_system(name)
+        for subset in (full_base(s), levi_subset(s, 0),
+                       levi_subset(s, s.rank - 1)):
+            slow = ambient_orbit(s, v, sorted(subset))
+            o = orbit(s, v, subset)
+            assert o.elements[0] == v
+            assert len(o) == len(slow)
+            assert set(o.elements) == set(slow)
+            dominant = [x for x in slow if all(
+                raw_pairing(s, x, s.simples[i]) >= 0 for i in subset)]
+            d, w = dominant_rep(s, v, subset)
+            assert [d] == dominant
+            assert apply_word(s, w, v) == d
+            assert set(w.letters) <= subset
+
+
+def test_orbit_and_dominant_rep_reflect_no_ambient_vector(monkeypatch):
+    # Same results for the 31 types while the ambient reflection and the
+    # vector arithmetic it uses refuse to run.
+    import rootkit.linalg as linalg
+    import rootkit.weyl as weyl
+
+    def refuse(*args):
+        raise AssertionError("reflected an ambient vector")
+
+    def results():
+        out = []
+        for name in type_names(8):
+            s = get_system(name)
+            half = tuple(x / 2 for x in s.simples[-1])
+            v = random_weight_vectors(s, 1, seed=37)[0]
+            for subset in (full_base(s), levi_subset(s, 0)):
+                out.append(orbit(s, s.simples[0], subset).elements)
+                out.append(orbit(s, half, subset).elements)
+                out.append(dominant_rep(s, v, subset))
+        return out
+
+    want = results()
+    for module, name in [(weyl, "reflect"), (weyl, "apply_word"),
+                         (weyl, "vsub"), (weyl, "vscale"),
+                         (linalg, "vsub"), (linalg, "vscale")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert results() == want
 
 
 class TestIsDominant:

@@ -212,8 +212,18 @@ class TestInvariantViolations:
             levi_conjugator(s, 0, highest_roots(s)[0])
 
     def test_height_not_lowered(self, monkeypatch):
+        # The identity table never stalls the walk, so a missing height
+        # check must fail on the second step instead of looping forever.
         s = build_system("A3")
-        monkeypatch.setattr(s, "reflect_root_index", lambda j, idx: idx)
+        steps = []
+
+        def identity(j, idx):
+            steps.append(j)
+            if len(steps) > 1:
+                raise AssertionError("a step that kept the height was taken")
+            return idx
+
+        monkeypatch.setattr(s, "reflect_root_index", identity)
         with pytest.raises(InvariantViolation, match="height"):
             levi_conjugator(s, 0, highest_roots(s)[0])
 
