@@ -102,8 +102,9 @@ def is_cospecial(s: RootSystem, i: int) -> bool:
 def fundamental_weight(s: RootSystem, i: int) -> Vector:
     """The i-th fundamental weight: dual basis to the simple coroots.
 
-    Solved exactly inside the span of the roots, so any ambient component
-    orthogonal to all roots is zero. May be non-integral (A1 gives alpha/2).
+    Read from the root system's integer tables, inside the span of the
+    roots, so any ambient component orthogonal to all roots is zero. May be
+    non-integral (A1 gives alpha/2).
     """
     s.check_simple_index(i)
     return s.fundamental_weights[i]

@@ -1,9 +1,9 @@
 """Exact construction of reduced irreducible root systems.
 
-Every type has one construction path: breadth-first reflection closure of
-the base under the Cartan matrix, in integer base coefficients. From those
-coefficients and the Cartan matrix, ``RootSystem`` derives the reflection
-tables, negation, heights, squared lengths and coroot coefficients in
+Every type has one construction path: ``RootSystem`` runs the breadth-first
+reflection closure of the base under the Cartan matrix, in integer base
+coefficients, and records each root's pairings and reflection images as it
+goes. Negation, heights, squared lengths and coroot coefficients follow in
 integer arithmetic. Ambient coordinates are an embedding at the boundary:
 the classical families A/B/C/D and G2 place each root at
 ``sum c_i * simple_i`` in their standard coordinates (type A and G2 inside
@@ -12,8 +12,8 @@ product) and check the result against the textbook root list, so textbook
 identities hold bit-exactly. E6/E7/E8/F4 keep the base coefficients as
 coordinates, with the form given by the minimal positive-integer
 symmetrization of the Cartan matrix; ``closure_system`` returns that model
-for every family. ``dual_system`` reuses the primal coefficients and the
-transposed Cartan matrix.
+for every family. ``dual_system`` reruns the closure on the transposed
+Cartan matrix.
 
 Ambient coordinates are exact rationals. Roots are stored in a deterministic
 order (by height of the positive representative, then lexicographic), so
@@ -33,7 +33,7 @@ from . import linalg
 from .errors import BadIndex, InadmissibleRank, NonIntegralSolution, NotARoot, ParseError
 from .linalg import Vector, dot, mat_vec, vector, vscale
 
-_FAMILIES = "ABCDEFG"
+_FAMILIES = tuple("ABCDEFG")
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 # Lower rank bounds; E/F/G are pinned separately.
@@ -51,6 +51,8 @@ class CartanType:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InadmissibleRank(f"unknown family {self.family!r}")
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise InadmissibleRank(f"rank {self.rank!r} is not an int")
         if self.family in _EXACT_RANKS:
             if self.rank not in _EXACT_RANKS[self.family]:
                 raise InadmissibleRank(
@@ -155,32 +157,31 @@ class RootSystem:
     """Immutable bundle of roots, base, positives, form and index tables.
 
     Not constructed directly: use ``build_system`` / ``closure_system`` /
-    ``dual_system``. Roots arrive as integer coefficient tuples over the
-    base; every combinatorial table is derived from the Cartan matrix in
-    integer arithmetic, and ambient vectors are the embedding
-    ``sum c_i * simples[i]``. One integer table, the pairing of every root
-    with every simple coroot, gives the reflection tables and the highest
-    root and highest short root. The dual system and the fundamental
-    weights are computed on first use. Validated at construction time:
+    ``dual_system``. The roots are the reflection closure of the base, as
+    integer coefficient tuples; it computes every root's pairing with every
+    simple coroot once and records each reflection image as an index, so
+    the root set is closed by construction. The pairings also give the
+    highest root and highest short root. Ambient vectors are
+    ``sum c_i * simples[i]``. The dual system and the fundamental weights
+    are computed on first use. Validated at construction time:
 
     - the form is symmetric;
     - the ambient Gram matrix of the base is a positive multiple of the
       symmetrized Cartan matrix (so the Cartan matrix is the base's own,
       and a finite-type one makes the form positive definite on the span);
     - no root is zero and each has sign-homogeneous coefficients;
-    - the root set is symmetric, reduced (2c is never a root), has at
-      most two lengths, and is closed under every simple reflection;
+    - the closure stops within 4 * rank^2 roots; the root set is
+      symmetric, reduced (2c is never a root) and has at most two lengths;
     - dual (coroot) coefficients are integers;
     - there is exactly one dominant root per root length.
     """
 
-    def __init__(self, ctype: CartanType, dim: int, simples, coeffs, form,
-                 cartan):
+    def __init__(self, ctype: CartanType, simples, form, cartan):
         self.ctype = ctype
-        self.dim = dim
         self.rank = n = len(simples)
         self.simples = tuple(vector(v) for v in simples)
         self.form = linalg.matrix(form)
+        self.dim = len(self.form)
         if self.form != linalg.transpose(self.form):
             raise ValueError("form is not symmetric")
         self.cartan = a = tuple(tuple(int(x) for x in row) for row in cartan)
@@ -197,37 +198,58 @@ class RootSystem:
             raise ValueError("Gram matrix of the base is not a positive "
                              "multiple of the symmetrized Cartan matrix")
 
+        # Breadth-first closure of the base in integer base coefficients.
+        # Each root's pairings <beta, alpha_j^v> = sum_k c_k A[k][j] are
+        # computed once; s_j lowers c_j by the j-th of them, and every image
+        # is recorded as an index when it is found.
+        coeffs = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        found = {c: k for k, c in enumerate(coeffs)}
+        pairings, images = [], []
+        for c in coeffs:  # the list grows while it is walked
+            p = tuple(sum(x * row[j] for x, row in zip(c, a) if x) for j in range(n))
+            image = []
+            for j in range(n):
+                w = c[:j] + (c[j] - p[j],) + c[j + 1:]
+                if w not in found:
+                    found[w] = len(coeffs)
+                    coeffs.append(w)
+                image.append(found[w])
+            pairings.append(p)
+            images.append(image)
+            # A finite type has rank * Coxeter number <= 4 * rank^2 roots.
+            if len(coeffs) > 4 * n * n:
+                raise ValueError("reflection closure did not terminate")
+
         # Ambient root: sum c_i * simples[i], in integers over the common
         # denominator of the simple roots' coordinates.
         den = lcm(*(x.denominator for v in self.simples for x in v))
         cols = tuple(zip(*[[int(x * den) for x in v] for v in self.simples]))
-        decorated = []
+        keys = []
         for c in coeffs:
-            pos = all(x >= 0 for x in c)
-            if not (pos or all(x <= 0 for x in c)):
+            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
                 raise ValueError(f"{c} has mixed-sign base coefficients")
             if not any(c):
                 raise ValueError("zero vector in root set")
-            beta = tuple(Fraction(sum(ci * x for ci, x in zip(c, col)), den)
-                         for col in cols)
-            decorated.append((sum(abs(x) for x in c), beta, c, pos))
-        decorated.sort(key=lambda t: (t[0], t[1]))
-        self.roots = tuple(t[1] for t in decorated)
-        self._coeffs = tuple(t[2] for t in decorated)
-        self._is_positive = tuple(t[3] for t in decorated)
+            keys.append((sum(abs(x) for x in c),
+                         tuple(Fraction(sum(ci * x for ci, x in zip(c, col)), den)
+                               for col in cols)))
+        # Sort by height, then ambient vector; at[k] is root k's new index.
+        order = sorted(range(len(coeffs)), key=keys.__getitem__)
+        at = {old: new for new, old in enumerate(order)}
+        self.roots = tuple(keys[k][1] for k in order)
+        self._coeffs = tuple(coeffs[k] for k in order)
+        self._is_positive = tuple(sum(c) > 0 for c in self._coeffs)
+        self._simple_pairings = tuple(pairings[k] for k in order)
+        self._refl_table = tuple(tuple(at[images[k][i]] for k in order)
+                                 for i in range(n))
         self._index = {beta: k for k, beta in enumerate(self.roots)}
         self.positives = tuple(r for r, p in zip(self.roots, self._is_positive) if p)
-        cindex = {c: k for k, c in enumerate(self._coeffs)}
 
-        def lookup(c, why):
-            k = cindex.get(c)
-            if k is None:
-                raise ValueError(f"root set is not {why}: missing {c}")
-            return k
-
-        self._neg = tuple(lookup(tuple(-x for x in c), "symmetric")
-                          for c in self._coeffs)
-        if any(tuple(2 * x for x in c) in cindex for c in self._coeffs):
+        neg = [found.get(tuple(-x for x in c)) for c in self._coeffs]
+        if None in neg:
+            raise ValueError("root set is not symmetric")
+        self._neg = tuple(at[k] for k in neg)
+        if any(tuple(2 * x for x in c) in found for c in coeffs):
             raise ValueError("system is not reduced")
 
         # (beta, beta) = scale * c.b.c, an integer times the scale.
@@ -253,18 +275,6 @@ class RootSystem:
         if any(x % q for row, q in nums for x in row):
             raise NonIntegralSolution("non-integer coroot coefficient")
         self._dual_coeffs = tuple(tuple(x // q for x in row) for row, q in nums)
-
-        # Pairings with the simple coroots, <beta, alpha_j^v> = sum_k c_k A[k][j].
-        self._simple_pairings = tuple(
-            tuple(sum(x * row[j] for x, row in zip(c, a) if x) for j in range(n))
-            for c in self._coeffs)
-
-        # Simple-reflection permutation tables (c_i -= <beta, alpha_i^v>)
-        # double as the closure check.
-        self._refl_table = tuple(
-            tuple(lookup(c[:i] + (c[i] - p[i],) + c[i + 1:], f"closed under s_{i}")
-                  for c, p in zip(self._coeffs, self._simple_pairings))
-            for i in range(n))
 
         # The dominant roots are the positive roots pairing >= 0 with every
         # simple coroot: the highest root and the highest short root.
@@ -342,17 +352,28 @@ class RootSystem:
     def dual(self) -> "RootSystem":
         """The system of coroots; see ``dual_system``."""
         simples = [coroot(self, a) for a in self.simples]
-        return RootSystem(_dual_ctype(self.ctype), self.dim, simples,
-                          self._dual_coeffs, self.form,
+        return RootSystem(_dual_ctype(self.ctype), simples, self.form,
                           linalg.transpose(self.cartan))
 
     @cached_property
     def fundamental_weights(self) -> tuple[Vector, ...]:
-        """Dual basis to the simple coroots, inside the span of the roots:
-        row i of the inverse Cartan matrix, over the base."""
+        """Dual basis to the simple coroots, inside the span of the roots.
+
+        x -> sum over beta > 0 of <x, beta^v> beta commutes with W, so on the
+        irreducible span it is a positive multiple of x. At x = omega_i the
+        pairings are the i-th dual coefficients, so omega_i over the base is
+        v_i / <v_i, alpha_i^v> with v_i = sum dual_coeff_i(beta) * coeff(beta),
+        all in integers.
+        """
+        pos = [(dc, c) for dc, c, p in
+               zip(self._dual_coeffs, self._coeffs, self._is_positive) if p]
         cols = linalg.transpose(self.simples)
-        return tuple(mat_vec(cols, row)
-                     for row in linalg.invert(linalg.matrix(self.cartan)))
+        weights = []
+        for i in range(self.rank):
+            v = [sum(dc[i] * c[j] for dc, c in pos) for j in range(self.rank)]
+            t = sum(x * row[i] for x, row in zip(v, self.cartan))
+            weights.append(mat_vec(cols, tuple(Fraction(x, t) for x in v)))
+        return tuple(weights)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype}, |roots|={len(self.roots)})"
@@ -409,30 +430,6 @@ def _classical_data(ctype: CartanType):
     return 3, simples, short + long_
 
 
-def _reflect(c: tuple[int, ...], i: int, cartan) -> tuple[int, ...]:
-    """s_i on base coefficients: c_i -= <beta, alpha_i^v> = sum_j c_j A[j][i]."""
-    p = sum(x * row[i] for x, row in zip(c, cartan))
-    return c[:i] + (c[i] - p,) + c[i + 1:]
-
-
-def _reflection_closure(cartan) -> list[tuple[int, ...]]:
-    """All roots as base coefficients: breadth-first closure of the base
-    under the simple reflections, in integers."""
-    n = len(cartan)
-    queue = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    seen = set(queue)
-    for v in queue:  # the queue grows while it is walked
-        for i in range(n):
-            w = _reflect(v, i, cartan)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-        # A finite type has rank * Coxeter number <= 4 * rank^2 roots.
-        if len(seen) > 4 * n * n:
-            raise ValueError("reflection closure did not terminate")
-    return queue
-
-
 def build_system(ctype: CartanType | str) -> RootSystem:
     """Canonical model of an irreducible root system.
 
@@ -447,8 +444,7 @@ def build_system(ctype: CartanType | str) -> RootSystem:
         return closure_system(ctype)
     dim, simples, textbook = _classical_data(ctype)
     form = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    a = cartan_matrix(ctype)
-    s = RootSystem(ctype, dim, simples, _reflection_closure(a), form, a)
+    s = RootSystem(ctype, simples, form, cartan_matrix(ctype))
     if set(s.roots) != set(textbook):
         raise ValueError(f"{ctype}: closure embedding differs from the "
                          "textbook root list")
@@ -470,7 +466,7 @@ def closure_system(ctype: CartanType | str) -> RootSystem:
     d = symmetrizer(a)
     form = [[Fraction(a[i][j] * d[j]) for j in range(n)] for i in range(n)]
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return RootSystem(ctype, n, simples, _reflection_closure(a), form, a)
+    return RootSystem(ctype, simples, form, a)
 
 
 # -- operations ------------------------------------------------------------
@@ -505,10 +501,9 @@ def dual_system(s: RootSystem) -> RootSystem:
 
     Simple roots are the coroots of the original base in matching index
     order (the numbering follows the primal system, not the dual's own
-    Bourbaki convention), so the Cartan matrix is the transpose and each
-    coroot's coefficients are the primal ``dual_base_coefficients``: no
-    closure is rerun. Applying dual_system twice returns the original
-    root set.
+    Bourbaki convention), so the Cartan matrix is the transpose, and the
+    roots are the closure of that base under it, as for every system.
+    Applying dual_system twice returns the original root set and tables.
     """
     return s.dual
 

@@ -1,7 +1,7 @@
-"""Exact rational vectors and small dense linear algebra.
+"""Exact rational vectors and matrices.
 
-Vectors are tuples of ``fractions.Fraction`` and every solve is Gaussian
-elimination over Q. No floating point anywhere.
+Vectors are tuples of ``fractions.Fraction``. ``vector`` refuses float and
+bool entries, so no floating point enters; there is no solver.
 """
 
 from __future__ import annotations
@@ -12,12 +12,19 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _exact(e) -> Fraction:
+    if isinstance(e, (float, bool)):
+        raise TypeError(f"vector entry {e!r} is a {type(e).__name__}, "
+                        "not an exact rational")
+    return Fraction(e)
 
 
 def vector(entries) -> Vector:
-    """Coerce an iterable of rational-like entries to an exact vector."""
-    return tuple(Fraction(e) for e in entries)
+    """Coerce an iterable of exact rational entries (int, Fraction or a
+    rational string) to an exact vector; float and bool entries raise."""
+    return tuple(map(_exact, entries))
 
 
 def vector_strs(v) -> tuple[str, ...]:
@@ -58,23 +65,4 @@ def form_value(form: Matrix, u: Vector, v: Vector) -> Fraction:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m, strict=True))
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix via Gauss-Jordan elimination."""
-    n = len(m)
-    aug = [list(row) + [ONE if j == i else ZERO for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 

@@ -195,13 +195,21 @@ class TestSpecialCospecial:
 
 
 class TestFundamentalWeight:
-    @pytest.mark.parametrize("name", type_names(8))
-    def test_dual_basis_property(self, name):
-        s = get_system(name)
+    @staticmethod
+    def check_dual_basis(s):
         for i in range(s.rank):
             eta = fundamental_weight(s, i)
             for j, a in enumerate(s.simples):
                 assert pairing(s, eta, a) == int(i == j)
+
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_dual_basis_property(self, name):
+        self.check_dual_basis(get_system(name))
+
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_dual_basis_property_of_dual(self, name):
+        # The weights come from the tables; in the dual the lengths swap.
+        self.check_dual_basis(dual_system(get_system(name)))
 
     def test_a1_half_root(self):
         s = get_system("A1")

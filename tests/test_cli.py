@@ -247,8 +247,15 @@ class TestInvariantChecks:
         assert files
         for path in files:
             tree = ast.parse(path.read_text(), filename=str(path))
-            lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            nodes = list(ast.walk(tree))
+            lines = [n.lineno for n in nodes if isinstance(n, ast.Assert)]
             assert lines == [], f"assert in {path.name} at lines {lines}"
+            # The package promises no floating point.
+            lines = [n.lineno for n in nodes
+                     if isinstance(n, ast.Constant) and isinstance(n.value, float)
+                     or isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                     and n.func.id == "float"]
+            assert lines == [], f"float in {path.name} at lines {lines}"
 
     def test_corrupt_replay_exit_1(self, monkeypatch, capsys):
         import rootkit.cli as cli

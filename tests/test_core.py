@@ -50,10 +50,17 @@ class TestCartanType:
 
     @pytest.mark.parametrize("fam,rank", [
         ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9),
-        ("F", 3), ("F", 5), ("G", 1), ("G", 3),
+        ("F", 3), ("F", 5), ("G", 1), ("G", 3), ("", 3), ("AB", 3),
     ])
     def test_inadmissible_ranks(self, fam, rank):
         with pytest.raises(InadmissibleRank):
+            CartanType(fam, rank)
+
+    @pytest.mark.parametrize("fam,rank", [
+        ("A", True), ("A", False), ("E", 6.0), ("A", 2.5), ("B", "3"),
+    ])
+    def test_rank_must_be_an_int(self, fam, rank):
+        with pytest.raises(InadmissibleRank, match="not an int"):
             CartanType(fam, rank)
 
     def test_admissible_count_rank_8(self):
@@ -175,12 +182,18 @@ class TestDualSystem:
         d = dual_system(s)
         assert d.cartan == tuple(zip(*s.cartan))
 
-    @pytest.mark.parametrize("name", ["A2", "B3", "C3", "F4", "G2"])
+    @pytest.mark.parametrize("name", type_names(8))
     def test_double_dual(self, name):
         s = get_system(name)
         dd = dual_system(dual_system(s))
         assert dd.roots == s.roots
         assert dd.simples == s.simples
+        for idx in range(len(s.roots)):
+            assert dd.base_coefficients(idx) == s.base_coefficients(idx)
+            assert dd.dual_base_coefficients(idx) == s.dual_base_coefficients(idx)
+            assert dd.simple_pairings(idx) == s.simple_pairings(idx)
+            for i in range(s.rank):
+                assert dd.reflect_root_index(i, idx) == s.reflect_root_index(i, idx)
 
     def test_g2_exchanges_length_classes(self):
         s = get_system("G2")
@@ -306,13 +319,11 @@ def test_build_rejects_embedding_off_textbook(monkeypatch):
 ])
 def test_rejects_cartan_matrix_of_another_base(name, cartan):
     s = get_system(name)
-    coeffs = [s.base_coefficients(k) for k in range(len(s.roots))]
     with pytest.raises(ValueError, match="Gram matrix"):
-        RootSystem(s.ctype, s.dim, s.simples, coeffs, s.form, cartan)
+        RootSystem(s.ctype, s.simples, s.form, cartan)
 
 
 def test_closure_of_affine_cartan_matrix_stops():
-    from rootkit.core import _reflection_closure
-
+    # The affine A1 matrix passes the Gram check on a line: alpha_1 = -alpha_0.
     with pytest.raises(ValueError, match="did not terminate"):
-        _reflection_closure(((2, -2), (-2, 2)))
+        RootSystem(CartanType("A", 2), [(1,), (-1,)], [[1]], ((2, -2), (-2, 2)))

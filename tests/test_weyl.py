@@ -26,6 +26,7 @@ from rootkit import (
     full_base,
     highest_roots,
     is_dominant,
+    is_quasi_constant,
     length_class,
     levi_subset,
     multiplicities,
@@ -78,6 +79,33 @@ class TestWeylWord:
 
     def test_keeps_int_letters(self):
         assert WeylWord([2, 0, 1]).letters == (2, 0, 1)
+
+
+# Public entry points that coerce a vector argument through linalg.vector.
+_VECTOR_CALLS = {
+    "reflect": lambda s, v: reflect(s, 0, v),
+    "orbit": lambda s, v: orbit(s, v, full_base(s)),
+    "dominant_rep": lambda s, v: dominant_rep(s, v, full_base(s)),
+    "index": lambda s, v: s.index(v),
+    "is_quasi_constant": is_quasi_constant,
+}
+
+
+class TestExactEntries:
+    @pytest.mark.parametrize("call", sorted(_VECTOR_CALLS))
+    @pytest.mark.parametrize("v", [(0.1, 0.2, -0.3), (True, False, 0)],
+                             ids=["float", "bool"])
+    def test_refuses_float_and_bool(self, call, v):
+        kind = type(v[0]).__name__
+        with pytest.raises(TypeError, match=f"entry {v[0]!r} is a {kind}"):
+            _VECTOR_CALLS[call](get_system("A2"), v)
+
+    @pytest.mark.parametrize("call", sorted(_VECTOR_CALLS))
+    def test_accepts_ints_fractions_and_rational_strings(self, call):
+        s = get_system("A2")
+        expected = _VECTOR_CALLS[call](s, vec(1, -1, 0))
+        for v in [(1, -1, 0), (Q(2, 2), Q(-1), 0), ("2/2", "-1", "0")]:
+            assert _VECTOR_CALLS[call](s, v) == expected
 
 
 class TestApplyWord:
