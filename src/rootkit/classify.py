@@ -122,6 +122,8 @@ def is_quasi_constant(s: RootSystem, chi) -> bool:
     chi = vector(chi)
     classes: dict[Fraction, set[Fraction]] = {}
     for idx, beta in enumerate(s.roots):
+        if not s.is_positive_index(idx):
+            continue  # -beta gives -value, in the same length class
         value = 2 * linalg.form_value(s.form, chi, beta) / s.sq_length(idx)
         if value != 0:
             classes.setdefault(s.sq_length(idx), set()).add(abs(value))

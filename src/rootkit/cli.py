@@ -179,7 +179,7 @@ def cmd_witness(args) -> int:
         raise InvariantViolation(f"replay reaches {vector_str(v)}, "
                                  f"not the target {vector_str(res.target)}")
     lines.append("verified: replay reaches the target")
-    print("\n".join(lines))
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -214,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "root to its dominant representative")
     p.add_argument("ctype")
     p.add_argument("index", type=int, help="0-based simple root index")
+    p.add_argument("--out", default=None)
     return parser
 
 

@@ -4,12 +4,13 @@ Orbits and dominant reduction work for the full base as well as for any
 subset of simple indices (in particular the maximal-Levi subsets obtained
 by deleting one index). Both run on one integer state per conjugate, whose
 single step updates the pairings and reflects the coordinates (``_start``).
-The public reflect/apply_word apply the textbook formula to ambient vectors.
+``orbit`` tests each step on one packed integer key of the pairings and
+builds the next state only for a conjugate it has not seen. The public
+reflect/apply_word apply the textbook formula to ambient vectors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,26 +132,59 @@ def _start(s: RootSystem, v: Vector) -> tuple[tuple[int, ...], list, int]:
     return state, rows, scale
 
 
+def _pairing_bound(s: RootSystem, lam) -> int:
+    """M = sum_k h_k |lam_k| for the pairings lam_k = den*<v, alpha_k^v>,
+    with h the highest coroot over the simple coroots. A pairing
+    <w, alpha_j^v> of a conjugate w of v is <v, gamma^v> for some coroot
+    gamma^v, whose coefficients are at most h's in absolute value, so every
+    den*<w, alpha_j^v> lies in [-M, M]. For a dominant v, M is reached."""
+    h = s.dual_base_coefficients(s.index(s.highest_short))
+    return sum(hk * abs(x) for hk, x in zip(h, lam))
+
+
+class _Rationals(dict):
+    """Scaled integer -> Fraction(x, scale), each built once."""
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        self[x] = f = Fraction(x, self.scale)
+        return f
+
+
 def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
-    """Breadth-first closure of {v} under the chosen simple reflections."""
+    """Breadth-first closure of {v} under the chosen simple reflections.
+
+    The pairings den*<w, alpha_j^v> determine a conjugate w, and lie in
+    [-M, M] (``_pairing_bound``), so they pack into one integer key in
+    balanced base 2M + 1, and s_i subtracts den*<w, alpha_i^v> times the
+    packed Cartan row i from it. A conjugate's pairings and scaled
+    coordinates are reflected only when its key is new, and each distinct
+    coordinate becomes one Fraction.
+    """
     gens = _checked_subset(s, subset)
     v = vector(v)
     start, rows, scale = _start(s, v)
     n = s.rank
-    seen = {start[:n]}  # the pairings determine a conjugate of v
-    queue = deque([start])
+    base = 2 * _pairing_bound(s, start[:n]) + 1
+    packed = [sum(x * base ** j for j, x in enumerate(row[:n])) for row in rows]
+    key = sum(x * base ** j for j, x in enumerate(start[:n]))
+    seen = {key}
+    found = [(key, start)]
+    rationals = _Rationals(scale)
     elements = [v]
-    while queue:
-        state = queue.popleft()
+    for key, state in found:  # the list grows while it is walked
         for i in gens:
             c = state[i]
             if c == 0:
                 continue  # s_i fixes this element
-            new = tuple(x - c * r for x, r in zip(state, rows[i]))
-            if new[:n] not in seen:
-                seen.add(new[:n])
-                queue.append(new)
-                elements.append(tuple(Fraction(x, scale) for x in new[n:]))
+            new = key - c * packed[i]
+            if new not in seen:
+                seen.add(new)
+                state_new = tuple([x - c * r for x, r in zip(state, rows[i])])
+                found.append((new, state_new))
+                elements.append(tuple(map(rationals.__getitem__, state_new[n:])))
     return Orbit(tuple(elements), frozenset(gens))
 
 

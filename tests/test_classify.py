@@ -1,6 +1,7 @@
 """Multiplicities, highest roots, special/co-special, quasi-constancy,
 and the three-way equivalence report."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,22 @@ from rootkit import (
 from rootkit.linalg import form_value, vscale
 
 Q = Fraction
+
+
+def literal_quasi_constant(s, chi) -> bool:
+    """The definition itself: for every root alpha with <chi, alpha^v> != 0,
+    every coroot gamma^v in the Weyl orbit of alpha^v (by the ambient BFS)
+    has <chi, gamma^v> / <chi, alpha^v> in {-1, 0, 1}."""
+    for alpha in s.roots:
+        denom = raw_pairing(s, chi, alpha)
+        if denom == 0:
+            continue
+        for gamma_dual in ambient_orbit(s, coroot(s, alpha), range(s.rank)):
+            # gamma_dual is a coroot vector, so <chi, gamma^v> is just the
+            # form value against it.
+            if form_value(s.form, chi, gamma_dual) / denom not in (-1, 0, 1):
+                return False
+    return True
 
 
 def vec(*xs):
@@ -254,18 +271,28 @@ class TestQuasiConstant:
         s = get_system(name)
         for i in range(s.rank):
             chi = fundamental_weight(s, i)
-            ok = True
-            for alpha in s.roots:
-                denom = raw_pairing(s, chi, alpha)
-                if denom == 0:
-                    continue
-                for gamma_dual in ambient_orbit(s, coroot(s, alpha), range(s.rank)):
-                    # gamma_dual is a coroot vector, so <chi, gamma^v> is
-                    # just the form value against it.
-                    numer = form_value(s.form, chi, gamma_dual)
-                    if numer / denom not in (-1, 0, 1):
-                        ok = False
-            assert is_quasi_constant(s, chi) == ok
+            assert is_quasi_constant(s, chi) == literal_quasi_constant(s, chi)
+
+    @pytest.mark.parametrize("name", ["B3", "C3", "G2", "A3"])
+    def test_matches_literal_ratio_definition_on_general_weights(self, name):
+        s = get_system(name)
+        etas = [fundamental_weight(s, i) for i in range(s.rank)]
+        rng = random.Random(47)
+        chis = []
+        for _ in range(6):
+            chi = zero_vector(s.dim)
+            for eta in etas:
+                c = Q(rng.randint(-5, 5), rng.randint(1, 4))
+                chi = vadd(chi, vscale(c, eta))
+            chis.append(chi)
+        chis += [vadd(etas[i], etas[j])
+                 for i in range(s.rank) for j in range(i + 1, s.rank)]
+        chis += [vscale(Q(-5, 3), eta) for eta in etas]
+        if name == "A3":
+            # (1, 1, 1, 1) is orthogonal to every root of A3.
+            chis.append(vadd(etas[0], (Q(2, 7),) * 4))
+        for chi in chis:
+            assert is_quasi_constant(s, chi) == literal_quasi_constant(s, chi)
 
 
 class TestTheoremRows:

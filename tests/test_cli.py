@@ -185,6 +185,7 @@ class TestVerify:
 class TestOutErrors:
     @pytest.mark.parametrize("argv", [
         ["describe", "A2"], ["classify", "A2"], ["verify", "--types", "A1"],
+        ["witness", "A3", "1"],
     ])
     def test_missing_directory_exit_2(self, tmp_path, capsys, argv):
         path = tmp_path / "missing" / "x"
@@ -214,6 +215,15 @@ class TestWitness:
         proc = run_cli("witness", "G2", "0")
         assert proc.returncode == 3
         assert "neither special nor co-special" in proc.stderr
+
+    def test_out_writes_the_stdout_bytes(self, tmp_path, capsys):
+        assert main(["witness", "B3", "2"]) == 0
+        want = capsys.readouterr().out
+        path = tmp_path / "w.txt"
+        assert main(["witness", "B3", "2", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == want
+        assert want.endswith("verified: replay reaches the target\n")
 
     def test_b3_cospecial_replay_ends_at_e1(self, capsys):
         assert main(["witness", "B3", "2"]) == 0

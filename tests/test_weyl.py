@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,6 +25,7 @@ from rootkit import (
     build_system,
     dominant_rep,
     full_base,
+    fundamental_weight,
     highest_roots,
     is_dominant,
     is_quasi_constant,
@@ -33,6 +35,8 @@ from rootkit import (
     orbit,
     reflect,
 )
+from rootkit.linalg import dot, mat_vec, vscale
+from rootkit.weyl import _pairing_bound
 
 Q = Fraction
 
@@ -310,6 +314,65 @@ class TestAgainstAmbientOracle:
             assert [d] == dominant
             assert apply_word(s, w, v) == d
             assert set(w.letters) <= subset
+
+
+def _dominant_seed(s):
+    """sum lambda_k omega_k with large rational lambda, nonzero on both ends
+    of the diagram up to rank 6 and on the last node above it, so that every
+    orbit has at most 384 elements (B6, C6; both ends of B8 would give
+    2,048, of E8 30,240)."""
+    nodes = sorted({0, s.rank - 1}) if s.rank <= 6 else [s.rank - 1]
+    d = zero_vector(s.dim)
+    for k, lam in zip(nodes, (Q(123457, 7), Q(98765, 11))):
+        d = vadd(d, vscale(lam, fundamental_weight(s, k)))
+    return d
+
+
+def _raw_pairings(s, vectors):
+    """<w, alpha_j^v> for every w and every simple index j, from the form
+    and the simple roots alone."""
+    galpha = [mat_vec(s.form, a) for a in s.simples]
+    funcs = [vscale(Q(2) / dot(a, g), g) for a, g in zip(s.simples, galpha)]
+    return [[dot(f, w) for f in funcs] for w in vectors]
+
+
+class TestOrbitOrder:
+    """orbit's elements, in order, against the ambient BFS in sorted
+    generator order, on the 31 types and their duals."""
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_matches_ambient_bfs_in_order(self, name, dual):
+        s = get_system(name).dual if dual else get_system(name)
+        # The Coxeter word fixes no nonzero vector of the span, so it moves
+        # a dominant seed off the chamber. The last fundamental weight has
+        # pairings of 1 and a small bound M, so its keys use every digit;
+        # in type A a base below 2M + 1 merges two of its conjugates.
+        coxeter = WeylWord(tuple(range(s.rank)))
+        seeds = [s.simples[0], tuple(x / 2 for x in s.simples[-1]),
+                 zero_vector(s.dim),
+                 apply_word(s, coxeter, fundamental_weight(s, s.rank - 1)),
+                 apply_word(s, coxeter, _dominant_seed(s))]
+        if name == "A3":
+            seeds.append(vec(Q(1, 2), Q(-1, 3), 2, 0))  # off the root span
+        for v in seeds:
+            for subset in (full_base(s), levi_subset(s, 0),
+                           levi_subset(s, s.rank - 1)):
+                assert list(orbit(s, v, subset).elements) == \
+                    ambient_orbit(s, v, sorted(subset))
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_pairing_bound_is_reached(self, name, dual):
+        # For a dominant seed the largest |den*<w, alpha_j^v>| over its
+        # orbit is <seed, highest coroot>, the packing bound M exactly.
+        s = get_system(name).dual if dual else get_system(name)
+        d = _dominant_seed(s)
+        [lam] = _raw_pairings(s, [d])
+        den = lcm(*(x.denominator for x in lam))
+        bound = _pairing_bound(s, [int(den * x) for x in lam])
+        orbit_pairings = _raw_pairings(s, ambient_orbit(s, d, range(s.rank)))
+        assert max(abs(den * p) for row in orbit_pairings for p in row) == bound
 
 
 def test_orbit_and_dominant_rep_reflect_no_ambient_vector(monkeypatch):
