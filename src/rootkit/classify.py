@@ -88,15 +88,13 @@ def height(s: RootSystem, beta) -> int:
 def is_special(s: RootSystem, i: int) -> bool:
     """Multiplicity of alpha_i in the highest root equals 1."""
     s.check_simple_index(i)
-    top, _ = highest_roots(s)
-    return s.base_coefficients(s.index(top))[i] == 1
+    return s.base_coefficients(s.highest_index)[i] == 1
 
 
 def is_cospecial(s: RootSystem, i: int) -> bool:
     """Multiplicity of alpha_i^v in the highest coroot equals 1."""
     s.check_simple_index(i)
-    _, top_short = highest_roots(s)
-    return s.dual_base_coefficients(s.index(top_short))[i] == 1
+    return s.dual_base_coefficients(s.highest_short_index)[i] == 1
 
 
 def fundamental_weight(s: RootSystem, i: int) -> Vector:
@@ -133,11 +131,10 @@ def is_quasi_constant(s: RootSystem, chi) -> bool:
 def theorem_row(s: RootSystem, i: int) -> ClassificationRow:
     """All per-simple-root facts plus the witness word when P3 holds."""
     s.check_simple_index(i)
-    top, top_short = highest_roots(s)
-    m = s.base_coefficients(s.index(top))[i]
-    m_dual = s.dual_base_coefficients(s.index(top_short))[i]
+    m = s.base_coefficients(s.highest_index)[i]
+    m_dual = s.dual_base_coefficients(s.highest_short_index)[i]
     quasi = is_quasi_constant(s, fundamental_weight(s, i))
-    letters, low = levi_walk(s, i, s.negation(s.index(s.simples[i])))
+    letters, low = levi_walk(s, i, s.negation(s.simple_root_index(i)))
     p3 = max(s.simple_pairings(low)) <= 0
     return ClassificationRow(
         simple_index=i,
@@ -200,9 +197,9 @@ def descent_blockers(s: RootSystem, i: int) -> list[Vector]:
     exist; any returned vector is a counterexample.
     """
     s.check_simple_index(i)
-    alpha = s.simples[i]
+    simple = s.simple_root_index(i)
     return [beta for idx, beta in enumerate(s.roots)
-            if s.is_positive_index(idx) and beta != alpha
+            if s.is_positive_index(idx) and idx != simple
             and s.sq_length(idx) == s.max_sq_length
             and s.base_coefficients(idx)[i] <= 1
             and descent_letter(s, i, idx) is None]

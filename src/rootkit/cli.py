@@ -116,15 +116,16 @@ def cmd_verify(args) -> int:
         except (ParseError, InadmissibleRank) as exc:
             args.parser.error(str(exc))
     else:
-        max_rank = args.max_rank
+        max_rank, source = args.max_rank, "--max-rank"
         if max_rank is None:
             raw = os.environ.get(ENV_MAX_RANK, "8")
+            source = f"{ENV_MAX_RANK}={raw!r}"
             try:
                 max_rank = int(raw)
             except ValueError:
-                args.parser.error(f"{ENV_MAX_RANK}={raw!r} is not an integer")
+                args.parser.error(f"{source} is not an integer")
         if max_rank < 1:
-            args.parser.error("--max-rank must be >= 1")
+            args.parser.error(f"{source} must be >= 1")
         types = admissible_types(max_rank)
 
     lines = []
@@ -193,11 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ctype", help="Cartan type, e.g. B3")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None, help="write output to a file")
+    p.set_defaults(run=cmd_describe)
 
     p = sub.add_parser("classify", help="per-simple-root classification report")
     p.add_argument("ctype")
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("verify", help="exhaustively verify the equivalence "
                                       "and the orbit/multiplicity properties")
@@ -208,13 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--types", default=None,
                        help="comma-separated explicit type list, e.g. G2,B3")
     p.add_argument("--out", default=None)
-    p.set_defaults(parser=p)  # cmd_verify's scope errors print this usage
+    p.set_defaults(run=cmd_verify, parser=p)  # scope errors print p's usage
 
     p = sub.add_parser("witness", help="explicit word conjugating a simple "
                                        "root to its dominant representative")
     p.add_argument("ctype")
     p.add_argument("index", type=int, help="0-based simple root index")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_witness)
     return parser
 
 
@@ -222,14 +226,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "describe":
-            return cmd_describe(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "witness":
-            return cmd_witness(args)
+        return args.run(args)
     except (ParseError, InadmissibleRank, BadIndex, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -239,8 +236,6 @@ def main(argv=None) -> int:
     except RootSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ for every family. ``dual_system`` reruns the closure on the transposed
 Cartan matrix.
 
 Ambient coordinates are exact rationals. Roots are stored in a deterministic
-order (by height of the positive representative, then lexicographic), so
-indices, orbits and serialized reports are reproducible across runs.
+order (by height of the positive representative, then lexicographic, sorted
+on integer numerators over one denominator), so indices, orbits and
+serialized reports are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -161,9 +162,12 @@ class RootSystem:
     integer coefficient tuples; it computes every root's pairing with every
     simple coroot once and records each reflection image as an index, so
     the root set is closed by construction. The pairings also give the
-    highest root and highest short root. Ambient vectors are
-    ``sum c_i * simples[i]``. The dual system and the fundamental weights
-    are computed on first use. Validated at construction time:
+    highest root and highest short root, at ``highest_index`` and
+    ``highest_short_index``; ``simple_root_index(i)`` is the index of
+    ``simples[i]``. The engine passes these indices; ambient vectors,
+    ``sum c_i * simples[i]``, are built once, after the sort on integer
+    numerators. The dual system and the fundamental weights are computed on
+    first use. Validated at construction time:
 
     - the form is symmetric;
     - the ambient Gram matrix of the base is a positive multiple of the
@@ -220,8 +224,8 @@ class RootSystem:
             if len(coeffs) > 4 * n * n:
                 raise ValueError("reflection closure did not terminate")
 
-        # Ambient root: sum c_i * simples[i], in integers over the common
-        # denominator of the simple roots' coordinates.
+        # Ambient root: sum c_i * simples[i], as integer numerators over the
+        # common denominator den > 0 of the simple roots' coordinates.
         den = lcm(*(x.denominator for v in self.simples for x in v))
         cols = tuple(zip(*[[int(x * den) for x in v] for v in self.simples]))
         keys = []
@@ -231,13 +235,15 @@ class RootSystem:
             if not any(c):
                 raise ValueError("zero vector in root set")
             keys.append((sum(abs(x) for x in c),
-                         tuple(Fraction(sum(ci * x for ci, x in zip(c, col)), den)
-                               for col in cols)))
-        # Sort by height, then ambient vector; at[k] is root k's new index.
+                         tuple(sum(ci * x for ci, x in zip(c, col)) for col in cols)))
+        # Sort by height, then numerators (the vectors' order); at[k] is
+        # root k's new index. Each vector is built once, after the sort.
         order = sorted(range(len(coeffs)), key=keys.__getitem__)
         at = {old: new for new, old in enumerate(order)}
-        self.roots = tuple(keys[k][1] for k in order)
+        rational = {x: Fraction(x, den) for _, num in keys for x in num}
+        self.roots = tuple(tuple(map(rational.get, keys[k][1])) for k in order)
         self._coeffs = tuple(coeffs[k] for k in order)
+        self._simple_index = tuple(at[i] for i in range(n))
         self._is_positive = tuple(sum(c) > 0 for c in self._coeffs)
         self._simple_pairings = tuple(pairings[k] for k in order)
         self._refl_table = tuple(tuple(at[images[k][i]] for k in order)
@@ -283,11 +289,9 @@ class RootSystem:
                     for q in (self.max_sq_length, self.min_sq_length)]
         if any(len(ks) != 1 for ks in dominant):
             raise ValueError("not exactly one dominant root per root length")
-        self.highest_root = self.roots[dominant[0][0]]
-        self.highest_short = self.roots[dominant[1][0]]
-
-        self._heights = {r: sum(c) for r, c, p in
-                         zip(self.roots, self._coeffs, self._is_positive) if p}
+        [self.highest_index], [self.highest_short_index] = dominant
+        self.highest_root = self.roots[self.highest_index]
+        self.highest_short = self.roots[self.highest_short_index]
 
     # -- lookups ---------------------------------------------------------
 
@@ -311,6 +315,9 @@ class RootSystem:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.rank:
             raise BadIndex(f"simple index {i!r} out of range 0..{self.rank - 1}")
         return i
+
+    def simple_root_index(self, i: int) -> int:
+        return self._simple_index[i]
 
     def is_positive_index(self, idx: int) -> bool:
         return self._is_positive[idx]
@@ -346,7 +353,7 @@ class RootSystem:
     @property
     def heights(self) -> dict[Vector, int]:
         """Height of every positive root."""
-        return dict(self._heights)
+        return {r: sum(c) for r, c in zip(self.roots, self._coeffs) if sum(c) > 0}
 
     @cached_property
     def dual(self) -> "RootSystem":

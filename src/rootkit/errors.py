@@ -33,7 +33,7 @@ class InvariantViolation(RootSystemError):
 
 
 class NonIntegralSolution(InvariantViolation):
-    """Expressing a root over the base produced non-integer coefficients."""
+    """A root's coroot has a non-integer coefficient over the simple coroots."""
 
 
 class NotSpecial(RootSystemError):

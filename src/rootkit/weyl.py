@@ -138,7 +138,7 @@ def _pairing_bound(s: RootSystem, lam) -> int:
     <w, alpha_j^v> of a conjugate w of v is <v, gamma^v> for some coroot
     gamma^v, whose coefficients are at most h's in absolute value, so every
     den*<w, alpha_j^v> lies in [-M, M]. For a dominant v, M is reached."""
-    h = s.dual_base_coefficients(s.index(s.highest_short))
+    h = s.dual_base_coefficients(s.highest_short_index)
     return sum(hk * abs(x) for hk, x in zip(h, lam))
 
 

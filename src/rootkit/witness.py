@@ -41,7 +41,7 @@ def _descend(s: RootSystem, i: int, idx: int) -> WitnessResult:
     """Walk root idx down to alpha_i by levi_walk; check the end and the replay."""
     alpha = s.simples[i]
     letters, end = levi_walk(s, i, idx)
-    if end != s.index(alpha):
+    if end != s.simple_root_index(i):
         raise InvariantViolation("descent stalled on a non-simple root")
     word = WeylWord(tuple(letters))
     if apply_word(s, word, alpha) != s.roots[idx]:
@@ -84,7 +84,7 @@ def dominant_witness(s: RootSystem, i: int) -> WitnessResult:
         return _descend(s, i, s.index(top))
     if is_cospecial(s, i):
         start = s.index(top_short)
-        if s.sq_length(start) != s.sq_length(s.index(s.simples[i])):
+        if s.sq_length(start) != s.sq_length(s.simple_root_index(i)):
             raise InvariantViolation(
                 f"alpha_{i} is not as long as the highest short root")
         return _descend(s, i, start)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from rootkit import RootSystem, build_system, fundamental_weight
 from rootkit.linalg import form_value, vscale
@@ -54,40 +56,56 @@ def raw_pairing(s: RootSystem, chi, beta) -> Fraction:
         form_value(s.form, tuple(beta), tuple(beta))
 
 
-def _key(v) -> tuple:
-    return tuple((x.numerator, x.denominator) for x in v)
-
-
 def ambient_orbit(s: RootSystem, seed, subset) -> list:
     """Set-based BFS over ambient vectors, reflections from first principles.
 
     Uses only raw data (simple-root coordinates and the Gram matrix) and the
     textbook formula v - 2(v, a)/(a, a) * a, so it does not share code with
-    the engine's orbit machinery.
+    the engine's orbit machinery. It runs on integer vectors over one common
+    denominator per orbit, ``scale``: a conjugate of v is v - sum_j n_j a_j
+    with every n_j an integer combination of the pairings 2(v, a_k)/(a_k, a_k),
+    whose common denominator is ``den``, so every conjugate lies in
+    (1/scale)Z^dim once scale clears v and den times the simple roots. Each
+    step asserts that its pairing times den is an integer.
     """
-    from rootkit.linalg import dot, mat_vec
-
     gens = list(subset)
-    simples = {i: s.simples[i] for i in gens}
-    galpha = {i: mat_vec(s.form, simples[i]) for i in gens}
-    norm = {i: dot(simples[i], galpha[i]) for i in gens}
     seed = tuple(Fraction(x) for x in seed)
-    seen = {_key(seed)}
-    queue = [seed]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    fden = lcm(*(x.denominator for row in s.form for x in row))
+    form = [[int(x * fden) for x in row] for row in s.form]
+
+    def gram(u):  # fden * form * u
+        return [sum(map(mul, row, u)) for row in form]
+
+    def scaled(by):  # the seed and the simple roots times by, as integers
+        return ([int(x * by) for x in seed],
+                {i: [int(x * by) for x in s.simples[i]] for i in gens})
+
+    # The pairings are scale-invariant, so den is read on a first scale.
+    sden = lcm(*(x.denominator for i in gens for x in s.simples[i]))
+    vden = lcm(*(x.denominator for x in seed))
+    v0, simples = scaled(lcm(vden, sden))
+    den = lcm(*(Fraction(2 * sum(map(mul, v0, gram(a))),
+                         sum(map(mul, a, gram(a)))).denominator
+                for a in simples.values()))
+    scale = lcm(vden, den * sden)
+    v0, simples = scaled(scale)
+    funcs = {i: [2 * den * g for g in gram(a)] for i, a in simples.items()}
+    norm = {i: sum(map(mul, a, gram(a))) for i, a in simples.items()}
+    steps = {i: [x // den for x in a] for i, a in simples.items()}  # exact
+    queue = [tuple(v0)]
+    seen = set(queue)
+    for v in queue:  # the list grows while it is walked
         for i in gens:
-            c = 2 * dot(v, galpha[i]) / norm[i]
+            c, r = divmod(sum(map(mul, v, funcs[i])), norm[i])
+            assert r == 0, "a pairing times den is not an integer"
             if c == 0:
                 continue  # reflection fixes v
-            w = tuple(x - c * y for x, y in zip(v, simples[i]))
-            k = _key(w)
-            if k not in seen:
-                seen.add(k)
+            w = tuple([x - c * y for x, y in zip(v, steps[i])])
+            if w not in seen:
+                seen.add(w)
                 queue.append(w)
-    return queue
+    rationals = {x: Fraction(x, scale) for w in queue for x in w}
+    return [tuple(rationals[x] for x in w) for w in queue]
 
 
 def solve_base_coefficients(simples, form, vectors) -> list:

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     ambient_orbit,
     get_system,
+    random_weight_vectors,
     raw_pairing,
     type_names,
     vadd,
@@ -35,6 +36,7 @@ from rootkit import (
     levi_orbit_multiplicity_violations,
     levi_subset,
     multiplicities,
+    orbit,
     pairing,
     theorem_row,
     verify_theorem,
@@ -386,6 +388,30 @@ class TestVerifyTheorem:
         monkeypatch.setattr(weyl, "dominant_rep", refuse)
         monkeypatch.setattr(weyl, "apply_word", refuse)
         assert [verify_theorem(build_system(n)).rows for n in names] == want
+
+    def test_engine_passes_root_indices(self, monkeypatch):
+        # The engine names roots by index, so the vector -> index lookup
+        # is never needed on these paths.
+        def refuse(*args):
+            raise AssertionError("looked up a root by its vector")
+
+        def results():
+            out = []
+            for name in type_names(8):
+                s = get_system(name)
+                half = tuple(x / 2 for x in s.simples[-1])
+                v = random_weight_vectors(s, 1, seed=41)[0]
+                out.append(verify_theorem(s))
+                out.append([descent_blockers(s, i) for i in range(s.rank)])
+                out.append(levi_orbit_multiplicity_violations(s))
+                for subset in (full_base(s), levi_subset(s, 0)):
+                    out.append(orbit(s, half, subset).elements)
+                    out.append(dominant_rep(s, v, subset))
+            return out
+
+        want = results()
+        monkeypatch.setattr(RootSystem, "index", refuse)
+        assert results() == want
 
     def test_p3_walk_checks_the_height(self, monkeypatch):
         # An identity reflection table never stalls the walk; the step

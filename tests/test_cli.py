@@ -176,6 +176,18 @@ class TestVerify:
         assert captured.err.startswith("usage: rootkit verify ")
         assert "\nrootkit verify: error: " in captured.err
 
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_env_rank_below_one_names_the_variable(self, capsys, monkeypatch,
+                                                   env):
+        monkeypatch.setenv("ROOTKIT_MAX_RANK", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rootkit verify ")
+        assert f"error: ROOTKIT_MAX_RANK='{env}' must be >= 1" in err
+        assert "--max-rank must" not in err
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "verify.txt"
         assert main(["verify", "--types", "B2,G2", "--out", str(path)]) == 0

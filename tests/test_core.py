@@ -248,6 +248,23 @@ class TestClosureModels:
 
 
 @pytest.mark.parametrize("name", type_names(8))
+def test_root_order_and_named_indices(name):
+    """The roots sort by the height of the positive representative, then by
+    ambient vector, in the model, the closure model and both their duals,
+    and the named indices point at the named roots."""
+    for model in (get_system(name), closure_system(name)):
+        for s in (model, dual_system(model)):
+            keys = [(abs(sum(s.base_coefficients(k))), b)
+                    for k, b in enumerate(s.roots)]
+            assert keys == sorted(keys)
+            assert len(set(s.roots)) == len(s.roots)
+            assert s.roots[s.highest_index] == s.highest_root
+            assert s.roots[s.highest_short_index] == s.highest_short
+            assert [s.roots[s.simple_root_index(i)] for i in range(s.rank)] \
+                == list(s.simples)
+
+
+@pytest.mark.parametrize("name", type_names(8))
 def test_negation_is_involution(name):
     s = get_system(name)
     for idx in range(len(s.roots)):
