@@ -117,7 +117,7 @@ def is_quasi_constant(s: RootSystem, chi) -> bool:
     |<chi, beta^v>| coincide. Scale-invariant in chi; vacuously true when
     chi kills every coroot.
     """
-    chi = vector(chi)
+    chi = vector(chi, s.dim)
     classes: dict[Fraction, set[Fraction]] = {}
     for idx, beta in enumerate(s.roots):
         if not s.is_positive_index(idx):

@@ -55,7 +55,7 @@ def _write(text: str, out_path: str | None) -> None:
             f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
-def cmd_describe(args) -> int:
+def cmd_describe(args) -> tuple[str, int]:
     s = build_system(CartanType.parse(args.ctype))
     top, top_short = highest_roots(s)
     if args.format == "json":
@@ -74,8 +74,7 @@ def cmd_describe(args) -> int:
             "highest_root": vector_strs(top),
             "highest_short": vector_strs(top_short),
         }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return json.dumps(payload, indent=2) + "\n", 0
     lines = [
         f"type {s.ctype}: rank {s.rank}, ambient dimension {s.dim}, "
         f"{'simply-laced' if s.is_simply_laced else 'multi-laced'}",
@@ -93,23 +92,20 @@ def cmd_describe(args) -> int:
     lines.append("form (Gram matrix):")
     for row in s.form:
         lines.append(f"  {vector_str(row)}")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_classify(args) -> int:
+RENDERERS = {"table": report_mod.to_table, "json": report_mod.to_json,
+             "csv": report_mod.to_csv}
+
+
+def cmd_classify(args) -> tuple[str, int]:
     s = build_system(CartanType.parse(args.ctype))
     doc = report_mod.document_from_report(s, verify_theorem(s))
-    if args.format == "json":
-        _write(report_mod.to_json(doc), args.out)
-    elif args.format == "csv":
-        _write(report_mod.to_csv(doc), args.out)
-    else:
-        _write(report_mod.to_table(doc), args.out)
-    return 0
+    return RENDERERS[args.format](doc), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     if args.types is not None:
         try:
             types = [CartanType.parse(t.strip()) for t in args.types.split(",")]
@@ -155,14 +151,12 @@ def cmd_verify(args) -> int:
     verdict = "all checks passed" if failures == 0 else f"{failures} type(s) FAILED"
     lines.append(f"checked {len(types)} systems, {total_rows} simple roots: "
                  f"{verdict} ({dt_all:.3f}s)")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0 if failures == 0 else 1
+    return "\n".join(lines) + "\n", 0 if failures == 0 else 1
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[str, int]:
     s = build_system(CartanType.parse(args.ctype))
     i = args.index
-    s.check_simple_index(i)
     res = dominant_witness(s, i)
     lines = [
         f"type {s.ctype}, simple root {i} (a{i + 1}) = {vector_str(res.source)}",
@@ -180,8 +174,7 @@ def cmd_witness(args) -> int:
         raise InvariantViolation(f"replay reaches {vector_str(v)}, "
                                  f"not the target {vector_str(res.target)}")
     lines.append("verified: replay reaches the target")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="per-simple-root classification report")
     p.add_argument("ctype")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.add_argument("--format", choices=list(RENDERERS), default="table")
     p.add_argument("--out", default=None)
     p.set_defaults(run=cmd_classify)
 
@@ -226,7 +219,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        text, code = args.run(args)
+        _write(text, args.out)
+        return code
     except (ParseError, InadmissibleRank, BadIndex, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -488,7 +488,7 @@ def coroot(s: RootSystem, beta) -> Vector:
 def pairing(s: RootSystem, chi, beta) -> Fraction:
     """<chi, beta^v> = 2(chi, beta)/(beta, beta); integer on the weight lattice."""
     idx = s.index(beta)
-    chi = vector(chi)
+    chi = vector(chi, s.dim)
     return 2 * linalg.form_value(s.form, chi, s.roots[idx]) / s.sq_length(idx)
 
 

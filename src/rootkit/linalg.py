@@ -1,7 +1,7 @@
 """Exact rational vectors and matrices.
 
-Vectors are tuples of ``fractions.Fraction``. ``vector`` refuses float and
-bool entries, so no floating point enters; there is no solver.
+Vectors are tuples of ``fractions.Fraction``. ``vector`` alone decides what
+a caller's vector is, so no floating point enters; there is no solver.
 """
 
 from __future__ import annotations
@@ -21,10 +21,16 @@ def _exact(e) -> Fraction:
     return Fraction(e)
 
 
-def vector(entries) -> Vector:
+def vector(entries, dim: int | None = None) -> Vector:
     """Coerce an iterable of exact rational entries (int, Fraction or a
-    rational string) to an exact vector; float and bool entries raise."""
-    return tuple(map(_exact, entries))
+    rational string). A str in place of the iterable and float or bool
+    entries raise TypeError; a length other than ``dim``, ValueError."""
+    if isinstance(entries, str):
+        raise TypeError(f"vector {entries!r} is a str, not a sequence of entries")
+    v = tuple(map(_exact, entries))
+    if dim is not None and len(v) != dim:
+        raise ValueError(f"vector has {len(v)} entries, expected {dim}")
+    return v
 
 
 def vector_strs(v) -> tuple[str, ...]:

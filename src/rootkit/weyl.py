@@ -6,7 +6,8 @@ by deleting one index). Both run on one integer state per conjugate, whose
 single step updates the pairings and reflects the coordinates (``_start``).
 ``orbit`` tests each step on one packed integer key of the pairings and
 builds the next state only for a conjugate it has not seen. The public
-reflect/apply_word apply the textbook formula to ambient vectors.
+apply_word applies the textbook formula to ambient vectors, and reflect is
+its one-letter word.
 """
 
 from __future__ import annotations
@@ -97,21 +98,21 @@ def levi_subset(s: RootSystem, i: int) -> frozenset[int]:
 
 
 def reflect(s: RootSystem, i: int, v) -> Vector:
-    """Simple reflection: v - <v, alpha_i^v> alpha_i. Involutive."""
-    s.check_simple_index(i)
-    v = vector(v)
-    return vsub(v, vscale(s.pair_simple(v, i), s.simples[i]))
+    """Simple reflection s_i, the one-letter word (i,). Involutive."""
+    return apply_word(s, WeylWord((i,)), v)
 
 
 def apply_word(s: RootSystem, word: WeylWord, v) -> Vector:
-    """Apply a word's reflections, last letter first.
+    """Apply a word's reflections, last letter first: letter i maps v to
+    v - <v, alpha_i^v> alpha_i. Letters are checked and v coerced once.
 
     apply_word(w1 + w2, v) == apply_word(w1, apply_word(w2, v)); the empty
     word is the identity.
     """
-    v = vector(v)
+    _checked_subset(s, word.letters)
+    v = vector(v, s.dim)
     for i in reversed(word.letters):
-        v = reflect(s, i, v)
+        v = vsub(v, vscale(s.pair_simple(v, i), s.simples[i]))
     return v
 
 
@@ -164,7 +165,7 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     coordinate becomes one Fraction.
     """
     gens = _checked_subset(s, subset)
-    v = vector(v)
+    v = vector(v, s.dim)
     start, rows, scale = _start(s, v)
     n = s.rank
     base = 2 * _pairing_bound(s, start[:n]) + 1
@@ -191,7 +192,7 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
 def is_dominant(s: RootSystem, v, subset: Subset) -> bool:
     """True iff <v, alpha_i^v> >= 0 for every i in the subset."""
     gens = _checked_subset(s, subset)
-    v = vector(v)
+    v = vector(v, s.dim)
     return all(s.pair_simple(v, i) >= 0 for i in gens)
 
 
@@ -204,7 +205,7 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
     valid witness, with every letter in the subset, and is not reduced.
     """
     gens = _checked_subset(s, subset)
-    state, rows, scale = _start(s, vector(v))
+    state, rows, scale = _start(s, vector(v, s.dim))
     applied: list[int] = []
     # Each step lowers the number of positive roots pairing negatively.
     for _ in range(len(s.positives) + 1):

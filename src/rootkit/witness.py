@@ -56,7 +56,6 @@ def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
     appearing in beta. Negative targets are not accepted; negate before
     calling if needed.
     """
-    s.check_simple_index(i)
     if not is_special(s, i):
         raise NotSpecial(f"simple root {i} of {s.ctype} is not special")
     idx = s.index(beta)
@@ -78,7 +77,6 @@ def dominant_witness(s: RootSystem, i: int) -> WitnessResult:
     short): <beta, alpha_j^v> has the sign of the dual pairing of beta^v, so
     the walk picks the letters of the descent on coroots.
     """
-    s.check_simple_index(i)
     top, top_short = highest_roots(s)
     if is_special(s, i):
         return _descend(s, i, s.index(top))

@@ -309,6 +309,47 @@ class TestInvariantChecks:
         assert capsys.readouterr().err == "error: non-integer coroot coefficient\n"
 
 
+def _error_classes():
+    import rootkit.cli as cli
+    import rootkit.errors as errors
+
+    found = [c for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.RootSystemError)]
+    return sorted(found, key=lambda c: c.__name__) + [cli.OutputError]
+
+
+_EXIT_1 = {"InvariantViolation", "NonIntegralSolution"}
+_EXIT_2 = {"ParseError", "InadmissibleRank", "BadIndex", "OutputError"}
+
+
+@pytest.mark.parametrize("argv", [["describe", "A2"], ["classify", "A2"],
+                                  ["verify", "--types", "A2"], ["witness", "A2", "0"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_maps_to_its_exit_code(monkeypatch, capsys, error, argv):
+    """The documented exit codes: 1 for a failed invariant, 2 for usage and
+    --out errors, 3 for every other precondition failure."""
+    import rootkit.cli as cli
+
+    def broken(ctype):
+        raise error(f"{error.__name__} raised")
+
+    monkeypatch.setattr(cli, "build_system", broken)
+    name = error.__name__
+    expected = 1 if name in _EXIT_1 else 2 if name in _EXIT_2 else 3
+    assert main(argv) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} raised\n"
+
+
+def test_error_classes_cover_the_package():
+    """The twelve classes of rootkit.errors and cli.OutputError."""
+    names = {c.__name__ for c in _error_classes()}
+    assert _EXIT_1 | _EXIT_2 <= names
+    assert len(names) == 13
+
+
 def test_console_script_help():
     proc = run_cli("--help")
     assert proc.returncode == 0

@@ -26,6 +26,7 @@ from rootkit import (
     dominant_rep,
     full_base,
     fundamental_weight,
+    height,
     highest_roots,
     is_dominant,
     is_quasi_constant,
@@ -33,8 +34,10 @@ from rootkit import (
     levi_subset,
     multiplicities,
     orbit,
+    pairing,
     reflect,
 )
+from rootkit.errors import NotARoot, NotPositiveRoot
 from rootkit.linalg import dot, mat_vec, vscale
 from rootkit.weyl import _pairing_bound
 
@@ -85,14 +88,18 @@ class TestWeylWord:
         assert WeylWord([2, 0, 1]).letters == (2, 0, 1)
 
 
-# Public entry points that coerce a vector argument through linalg.vector.
-_VECTOR_CALLS = {
+# Public arithmetic on a caller's vector: each checks its length against s.dim.
+_ARITHMETIC_CALLS = {
     "reflect": lambda s, v: reflect(s, 0, v),
+    "apply_word": lambda s, v: apply_word(s, WeylWord((1, 0, 1)), v),
     "orbit": lambda s, v: orbit(s, v, full_base(s)),
     "dominant_rep": lambda s, v: dominant_rep(s, v, full_base(s)),
-    "index": lambda s, v: s.index(v),
+    "is_dominant": lambda s, v: is_dominant(s, v, full_base(s)),
     "is_quasi_constant": is_quasi_constant,
+    "pairing": lambda s, v: pairing(s, v, s.simples[0]),
 }
+# Public entry points that coerce a vector argument through linalg.vector.
+_VECTOR_CALLS = dict(_ARITHMETIC_CALLS, index=lambda s, v: s.index(v))
 
 
 class TestExactEntries:
@@ -110,6 +117,37 @@ class TestExactEntries:
         expected = _VECTOR_CALLS[call](s, vec(1, -1, 0))
         for v in [(1, -1, 0), (Q(2, 2), Q(-1), 0), ("2/2", "-1", "0")]:
             assert _VECTOR_CALLS[call](s, v) == expected
+
+
+class TestVectorShape:
+    """A3 lives in Q^4: a vector of 3 or 5 entries, or a str in place of the
+    entries, is refused with a typed error naming what was expected. The
+    lookups stay lookups: a vector of another length is not a root."""
+
+    @pytest.mark.parametrize("call", sorted(_ARITHMETIC_CALLS))
+    @pytest.mark.parametrize("v", [(1, -1, 0), (1, -1, 0, 0, 0)], ids=["3", "5"])
+    def test_wrong_length_names_the_dimension(self, call, v):
+        with pytest.raises(ValueError, match=f"{len(v)} entries, expected 4"):
+            _ARITHMETIC_CALLS[call](get_system("A3"), v)
+
+    @pytest.mark.parametrize("call", sorted(_VECTOR_CALLS))
+    def test_refuses_a_string(self, call):
+        with pytest.raises(TypeError, match="is a str"):
+            _VECTOR_CALLS[call](get_system("A3"), "1234")
+
+    @pytest.mark.parametrize("v", [(1, -1, 0), (1, -1, 0, 0, 0)], ids=["3", "5"])
+    def test_lookups_treat_another_length_as_no_root(self, v):
+        s = get_system("A3")
+        with pytest.raises(NotARoot):
+            s.index(v)
+        assert not s.is_positive_root(v)
+        with pytest.raises(NotPositiveRoot):
+            height(s, v)
+        assert v not in orbit(s, s.simples[0], full_base(s))
+
+    def test_height_reads_a_one_shot_iterable_once(self):
+        s = get_system("A3")
+        assert height(s, iter(s.highest_root)) == height(s, s.highest_root) == 3
 
 
 class TestApplyWord:
