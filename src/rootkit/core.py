@@ -183,9 +183,9 @@ class RootSystem:
     def __init__(self, ctype: CartanType, simples, form, cartan):
         self.ctype = ctype
         self.rank = n = len(simples)
-        self.simples = tuple(vector(v) for v in simples)
         self.form = linalg.matrix(form)
         self.dim = len(self.form)
+        self.simples = tuple(vector(v, self.dim) for v in simples)
         if self.form != linalg.transpose(self.form):
             raise ValueError("form is not symmetric")
         self.cartan = a = tuple(tuple(int(x) for x in row) for row in cartan)
@@ -340,7 +340,7 @@ class RootSystem:
 
     def pair_simple(self, v: Vector, i: int) -> Fraction:
         """<v, alpha_i^v>, exact."""
-        return dot(self._pair_func[i], v)
+        return dot(self._pair_func[i], vector(v, self.dim))
 
     def simple_pairings(self, idx: int) -> tuple[int, ...]:
         """<roots[idx], alpha_j^v> for every simple index j, as integers."""

@@ -18,7 +18,7 @@ def _exact(e) -> Fraction:
     if isinstance(e, (float, bool)):
         raise TypeError(f"vector entry {e!r} is a {type(e).__name__}, "
                         "not an exact rational")
-    return Fraction(e)
+    return e if type(e) is Fraction else Fraction(e)
 
 
 def vector(entries, dim: int | None = None) -> Vector:
@@ -44,7 +44,8 @@ def vector_str(v) -> str:
 
 
 def matrix(rows) -> Matrix:
-    return tuple(vector(row) for row in rows)
+    rows = tuple(rows)  # square: each row has len(rows) entries
+    return tuple(vector(row, len(rows)) for row in rows)
 
 
 def vsub(u: Vector, v: Vector) -> Vector:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import highest_roots, is_cospecial, is_special, levi_walk
+from .classify import is_cospecial, is_special, levi_walk
 from .core import RootSystem
 from .errors import (
     InvariantViolation,
@@ -30,23 +30,27 @@ from .weyl import WeylWord, apply_word
 @dataclass(frozen=True)
 class WitnessResult:
     """A verified conjugation: apply_word(word, source) == target, and the
-    word avoids the distinguished simple index."""
+    word avoids the distinguished simple index. ``trail[k]`` is the vector
+    reached after the last k + 1 letters, so the trail ends at the target."""
 
     word: WeylWord
     source: Vector
     target: Vector
+    trail: tuple[Vector, ...]
 
 
 def _descend(s: RootSystem, i: int, idx: int) -> WitnessResult:
-    """Walk root idx down to alpha_i by levi_walk; check the end and the replay."""
-    alpha = s.simples[i]
+    """Walk root idx down to alpha_i by levi_walk; check the end and the
+    ambient replay, one letter at a time, which is kept as the trail."""
+    trail = [s.simples[i]]
     letters, end = levi_walk(s, i, idx)
     if end != s.simple_root_index(i):
         raise InvariantViolation("descent stalled on a non-simple root")
-    word = WeylWord(tuple(letters))
-    if apply_word(s, word, alpha) != s.roots[idx]:
-        raise InvariantViolation(f"word {word.letters} misses the target")
-    return WitnessResult(word=word, source=alpha, target=s.roots[idx])
+    for j in reversed(letters):
+        trail.append(apply_word(s, WeylWord((j,)), trail[-1]))
+    if trail[-1] != s.roots[idx]:
+        raise InvariantViolation(f"word {tuple(letters)} misses the target")
+    return WitnessResult(WeylWord(tuple(letters)), trail[0], trail[-1], tuple(trail[1:]))
 
 
 def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
@@ -77,11 +81,10 @@ def dominant_witness(s: RootSystem, i: int) -> WitnessResult:
     short): <beta, alpha_j^v> has the sign of the dual pairing of beta^v, so
     the walk picks the letters of the descent on coroots.
     """
-    top, top_short = highest_roots(s)
     if is_special(s, i):
-        return _descend(s, i, s.index(top))
+        return _descend(s, i, s.highest_index)
     if is_cospecial(s, i):
-        start = s.index(top_short)
+        start = s.highest_short_index
         if s.sq_length(start) != s.sq_length(s.simple_root_index(i)):
             raise InvariantViolation(
                 f"alpha_{i} is not as long as the highest short root")

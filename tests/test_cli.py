@@ -104,6 +104,13 @@ class TestClassify:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_renders_through_the_report_module(self, monkeypatch, capsys):
+        import rootkit.report as report
+
+        monkeypatch.setattr(report, "to_csv", lambda doc: "patched csv\n")
+        assert main(["classify", "A1", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "patched csv\n"
+
     @pytest.mark.parametrize("name", ["A1", "B3", "D4", "F4", "G2"])
     def test_document_roundtrip(self, name):
         s = build_system(name)
@@ -280,13 +287,13 @@ class TestInvariantChecks:
             assert lines == [], f"float in {path.name} at lines {lines}"
 
     def test_corrupt_replay_exit_1(self, monkeypatch, capsys):
-        import rootkit.cli as cli
+        import rootkit.witness as witness
 
-        monkeypatch.setattr(cli, "reflect", lambda s, i, v: v)
+        monkeypatch.setattr(witness, "apply_word", lambda s, word, v: v)
         assert main(["witness", "B3", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: replay reaches ")
+        assert "misses the target" in captured.err
 
     def test_verify_replays_witnesses(self, monkeypatch, capsys):
         import rootkit.witness as witness

@@ -344,3 +344,11 @@ def test_closure_of_affine_cartan_matrix_stops():
     # The affine A1 matrix passes the Gram check on a line: alpha_1 = -alpha_0.
     with pytest.raises(ValueError, match="did not terminate"):
         RootSystem(CartanType("A", 2), [(1,), (-1,)], [[1]], ((2, -2), (-2, 2)))
+
+
+def test_constructor_names_the_expected_length():
+    s = get_system("A3")
+    with pytest.raises(ValueError, match="3 entries, expected 4"):
+        RootSystem(s.ctype, [v[:3] for v in s.simples], s.form, s.cartan)
+    with pytest.raises(ValueError, match="3 entries, expected 4"):
+        RootSystem(s.ctype, s.simples, [row[:3] for row in s.form], s.cartan)

@@ -1,5 +1,5 @@
 """The public names: ``rootkit.__all__`` is pinned, every name resolves, and
-the README's library example imports only public names."""
+the README's library example imports only public names and runs."""
 
 import ast
 import re
@@ -43,3 +43,9 @@ def test_readme_library_example_imports_public_names():
                 for alias in node.names]
     assert imported, "the README's library example imports nothing from rootkit"
     assert set(imported) <= set(PUBLIC_NAMES)
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

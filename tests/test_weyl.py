@@ -97,6 +97,7 @@ _ARITHMETIC_CALLS = {
     "is_dominant": lambda s, v: is_dominant(s, v, full_base(s)),
     "is_quasi_constant": is_quasi_constant,
     "pairing": lambda s, v: pairing(s, v, s.simples[0]),
+    "pair_simple": lambda s, v: s.pair_simple(v, 0),
 }
 # Public entry points that coerce a vector argument through linalg.vector.
 _VECTOR_CALLS = dict(_ARITHMETIC_CALLS, index=lambda s, v: s.index(v))

@@ -29,6 +29,7 @@ from rootkit import (
     length_class,
     levi_conjugator,
     multiplicities,
+    reflect,
 )
 
 Q = Fraction
@@ -38,12 +39,30 @@ def vec(*xs):
     return tuple(Q(x) for x in xs)
 
 
+def assert_trail(s, res):
+    """The trail is the chain of single reflections from the source."""
+    chain, v = [], res.source
+    for letter in reversed(res.word.letters):
+        v = reflect(s, letter, v)
+        chain.append(v)
+    assert res.trail == tuple(chain)
+    assert len(res.trail) == len(res.word)
+    assert v == res.target
+
+
 class TestLeviConjugator:
     def test_target_is_source(self):
         s = get_system("A3")
         res = levi_conjugator(s, 1, s.simples[1])
         assert res.word == WeylWord()
         assert res.source == res.target == s.simples[1]
+
+    def test_trail(self):
+        s = get_system("D5")
+        res = levi_conjugator(s, 0, highest_roots(s)[0])
+        assert len(res.word) > 0
+        assert_trail(s, res)
+        assert levi_conjugator(s, 0, s.simples[0]).trail == ()
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_d_highest_root(self, n):
@@ -164,6 +183,13 @@ class TestDominantWitness:
             assert res.word == levi_conjugator(dual, i, highest_roots(dual)[0]).word
             assert res.target == highest_roots(s)[1]
 
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_trail_is_the_reflection_chain(self, name):
+        s = get_system(name)
+        for i in range(s.rank):
+            if is_special(s, i) or is_cospecial(s, i):
+                assert_trail(s, dominant_witness(s, i))
+
     def test_never_builds_the_dual_system(self, monkeypatch):
         def refuse(self):
             raise AssertionError("dual system built")
@@ -243,10 +269,7 @@ class TestInvariantViolations:
             levi_conjugator(s, 0, highest_roots(s)[0])
 
     def test_cospecial_target_checked(self, monkeypatch):
-        import rootkit.witness as witness
-
         s = get_system("B3")
-        monkeypatch.setattr(witness, "highest_roots",
-                            lambda t: (highest_roots(t)[0],) * 2)
+        monkeypatch.setattr(s, "highest_short_index", s.highest_index)
         with pytest.raises(InvariantViolation, match="highest short root"):
             dominant_witness(s, 2)
