@@ -340,7 +340,7 @@ class RootSystem:
 
     def pair_simple(self, v: Vector, i: int) -> Fraction:
         """<v, alpha_i^v>, exact."""
-        return dot(self._pair_func[i], vector(v, self.dim))
+        return dot(self._pair_func[self.check_simple_index(i)], vector(v, self.dim))
 
     def simple_pairings(self, idx: int) -> tuple[int, ...]:
         """<roots[idx], alpha_j^v> for every simple index j, as integers."""

@@ -48,10 +48,6 @@ def matrix(rows) -> Matrix:
     return tuple(vector(row, len(rows)) for row in rows)
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vscale(c, u: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in u)

@@ -2,12 +2,13 @@
 
 Orbits and dominant reduction work for the full base as well as for any
 subset of simple indices (in particular the maximal-Levi subsets obtained
-by deleting one index). Both run on one integer state per conjugate, whose
-single step updates the pairings and reflects the coordinates (``_start``).
-``orbit`` tests each step on one packed integer key of the pairings and
-builds the next state only for a conjugate it has not seen. The public
-apply_word applies the textbook formula to ambient vectors, and reflect is
-its one-letter word.
+by deleting one index). Every operation on a caller's vector enters
+``_start``, which checks the generators, coerces the vector once and returns
+its integer state; a single step of that state updates the pairings and
+reflects the coordinates. ``orbit`` tests each step on one packed integer
+key of the pairings and builds the next state only for a conjugate it has
+not seen. apply_word steps the state once per letter, and reflect is its
+one-letter word.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import lcm
 
 from .core import RootSystem
 from .errors import BadIndex, InvariantViolation
-from .linalg import Vector, vector, vscale, vsub
+from .linalg import Vector, vector
 
 Subset = Iterable[int]
 
@@ -80,13 +81,6 @@ class Orbit:
         return iter(self.elements)
 
 
-def _checked_subset(s: RootSystem, subset: Subset) -> tuple[int, ...]:
-    gens = sorted(set(subset))
-    for i in gens:
-        s.check_simple_index(i)
-    return tuple(gens)
-
-
 def full_base(s: RootSystem) -> frozenset[int]:
     return frozenset(range(s.rank))
 
@@ -109,18 +103,19 @@ def apply_word(s: RootSystem, word: WeylWord, v) -> Vector:
     apply_word(w1 + w2, v) == apply_word(w1, apply_word(w2, v)); the empty
     word is the identity.
     """
-    _checked_subset(s, word.letters)
+    return _replay(s, word, v)[-1]
+
+
+def _start(s: RootSystem, v, subset: Subset) -> tuple[tuple[int, ...], tuple, list, int]:
+    """Check the generator subset and coerce v once; return the sorted
+    generators, the integer state of v, the step rows and the scale. The
+    state is den*<v, alpha_j^v> for every j, then scale*v; row i is Cartan
+    row i, then (scale/den)*alpha_i, so state - state[i]*row_i is the state
+    of s_i(v). scale/den clears the simple roots' denominators."""
+    gens = tuple(sorted(set(subset)))
+    for i in gens:
+        s.check_simple_index(i)
     v = vector(v, s.dim)
-    for i in reversed(word.letters):
-        v = vsub(v, vscale(s.pair_simple(v, i), s.simples[i]))
-    return v
-
-
-def _start(s: RootSystem, v: Vector) -> tuple[tuple[int, ...], list, int]:
-    """The integer state of v, the step rows and the scale. The state is
-    den*<v, alpha_j^v> for every j, then scale*v; row i is Cartan row i,
-    then (scale/den)*alpha_i, so state - state[i]*row_i is the state of
-    s_i(v). scale/den clears the simple roots' denominators."""
     lam = [s.pair_simple(v, i) for i in range(s.rank)]
     den = lcm(*(x.denominator for x in lam))
     scale = lcm(den * lcm(*(x.denominator for a in s.simples for x in a)),
@@ -130,7 +125,7 @@ def _start(s: RootSystem, v: Vector) -> tuple[tuple[int, ...], list, int]:
             for a, alpha in zip(s.cartan, s.simples)]
     state = (tuple(x.numerator * (den // x.denominator) for x in lam)
              + tuple(x.numerator * (scale // x.denominator) for x in v))
-    return state, rows, scale
+    return gens, state, rows, scale
 
 
 def _pairing_bound(s: RootSystem, lam) -> int:
@@ -154,6 +149,19 @@ class _Rationals(dict):
         return f
 
 
+def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
+    """v, then the vector reached after each letter of the word, last letter
+    first: one integer step of v's state per letter."""
+    _, state, rows, scale = _start(s, v, word.letters)
+    rationals = _Rationals(scale)
+    out = [tuple(map(rationals.__getitem__, state[s.rank:]))]
+    for i in reversed(word.letters):
+        c = state[i]
+        state = tuple([x - c * r for x, r in zip(state, rows[i])])
+        out.append(tuple(map(rationals.__getitem__, state[s.rank:])))
+    return out
+
+
 def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     """Breadth-first closure of {v} under the chosen simple reflections.
 
@@ -164,9 +172,7 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     coordinates are reflected only when its key is new, and each distinct
     coordinate becomes one Fraction.
     """
-    gens = _checked_subset(s, subset)
-    v = vector(v, s.dim)
-    start, rows, scale = _start(s, v)
+    gens, start, rows, scale = _start(s, v, subset)
     n = s.rank
     base = 2 * _pairing_bound(s, start[:n]) + 1
     packed = [sum(x * base ** j for j, x in enumerate(row[:n])) for row in rows]
@@ -174,7 +180,7 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     seen = {key}
     found = [(key, start)]
     rationals = _Rationals(scale)
-    elements = [v]
+    elements = [tuple(map(rationals.__getitem__, start[n:]))]
     for key, state in found:  # the list grows while it is walked
         for i in gens:
             c = state[i]
@@ -191,9 +197,8 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
 
 def is_dominant(s: RootSystem, v, subset: Subset) -> bool:
     """True iff <v, alpha_i^v> >= 0 for every i in the subset."""
-    gens = _checked_subset(s, subset)
-    v = vector(v, s.dim)
-    return all(s.pair_simple(v, i) >= 0 for i in gens)
+    gens, state, _, _ = _start(s, v, subset)
+    return all(state[i] >= 0 for i in gens)
 
 
 def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
@@ -204,8 +209,7 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
     strategy (the dominant representative is unique); the word is just one
     valid witness, with every letter in the subset, and is not reduced.
     """
-    gens = _checked_subset(s, subset)
-    state, rows, scale = _start(s, vector(v, s.dim))
+    gens, state, rows, scale = _start(s, v, subset)
     applied: list[int] = []
     # Each step lowers the number of positive roots pairing negatively.
     for _ in range(len(s.positives) + 1):

@@ -24,7 +24,7 @@ from .errors import (
     NotSpecial,
 )
 from .linalg import Vector, vector_str
-from .weyl import WeylWord, apply_word
+from .weyl import WeylWord, _replay
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,16 @@ class WitnessResult:
 
 def _descend(s: RootSystem, i: int, idx: int) -> WitnessResult:
     """Walk root idx down to alpha_i by levi_walk; check the end and the
-    ambient replay, one letter at a time, which is kept as the trail."""
-    trail = [s.simples[i]]
+    integer replay of the word on alpha_i, which is kept as the trail. The
+    replay steps coordinates, not the reflection tables the walk read."""
     letters, end = levi_walk(s, i, idx)
     if end != s.simple_root_index(i):
         raise InvariantViolation("descent stalled on a non-simple root")
-    for j in reversed(letters):
-        trail.append(apply_word(s, WeylWord((j,)), trail[-1]))
+    word = WeylWord(tuple(letters))
+    trail = _replay(s, word, s.simples[i])
     if trail[-1] != s.roots[idx]:
-        raise InvariantViolation(f"word {tuple(letters)} misses the target")
-    return WitnessResult(WeylWord(tuple(letters)), trail[0], trail[-1], tuple(trail[1:]))
+        raise InvariantViolation(f"word {word.letters} misses the target")
+    return WitnessResult(word, trail[0], trail[-1], tuple(trail[1:]))
 
 
 def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:

@@ -3,7 +3,8 @@
 The oracle helpers here deliberately avoid the library's orbit/dominance
 engine: they enumerate with plain set-based BFS over ambient vectors and
 evaluate pairings from raw coordinates, so the fast paths are checked
-against genuinely independent computations.
+against genuinely independent computations. The exact vector arithmetic
+the tests use is defined here too, not imported from ``rootkit.linalg``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from math import lcm
 from operator import mul
 
 from rootkit import RootSystem, build_system, fundamental_weight
-from rootkit.linalg import form_value, vscale
 
 _SYSTEMS: dict[str, RootSystem] = {}
 
@@ -25,6 +25,28 @@ def zero_vector(dim: int) -> tuple:
 
 def vadd(u, v) -> tuple:
     return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vsub(u, v) -> tuple:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vscale(c, u) -> tuple:
+    c = Fraction(c)
+    return tuple(c * a for a in u)
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def mat_vec(m, v) -> tuple:
+    return tuple(dot(row, v) for row in m)
+
+
+def form_value(form, u, v) -> Fraction:
+    """The bilinear form with Gram matrix ``form`` on (u, v)."""
+    return dot(u, mat_vec(form, v))
 
 
 def vneg(u) -> tuple:
@@ -54,6 +76,18 @@ def raw_pairing(s: RootSystem, chi, beta) -> Fraction:
     """<chi, beta^v> computed directly from coordinates and the form."""
     return 2 * form_value(s.form, tuple(chi), tuple(beta)) / \
         form_value(s.form, tuple(beta), tuple(beta))
+
+
+def textbook_word(s: RootSystem, letters, v) -> list:
+    """v, then the vector after each letter, last letter first, by the
+    textbook formula v - 2(v, a)/(a, a) * a. Reads only ``s.simples`` and
+    ``s.form``, so it shares no code with the engine's integer state."""
+    out = [tuple(Fraction(x) for x in v)]
+    for i in reversed(tuple(letters)):
+        a = s.simples[i]
+        c = 2 * form_value(s.form, out[-1], a) / form_value(s.form, a, a)
+        out.append(vsub(out[-1], vscale(c, a)))
+    return out
 
 
 def ambient_orbit(s: RootSystem, seed, subset) -> list:
@@ -116,8 +150,6 @@ def solve_base_coefficients(simples, form, vectors) -> list:
     solution is then checked to rebuild its vector, so a vector outside the
     span fails. Shares no code with the engine's integer construction.
     """
-    from rootkit.linalg import dot, mat_vec
-
     n = len(simples)
     gsimple = [mat_vec(form, a) for a in simples]
     rows = [[dot(a, g) for g in gsimple] + [dot(v, ga) for v in vectors]

@@ -1,0 +1,215 @@
+"""Mutation runner: each named source mutation must fail its named tests.
+
+Usage, from the root of a checkout: python3 tests/mutants.py [NAME ...]
+
+For each mutation (all of them, or the names given), the runner copies
+``src/``, ``tests/``, ``pyproject.toml`` and ``perfbench/digests.json`` to a
+temporary directory, replaces one exact piece of source text (it stops with
+an error unless the text occurs exactly once), runs the mutation's pytest
+subset there with a timeout and prints ``caught`` or ``MISSED``. First it
+runs every subset on an unmutated copy, which must pass, so that a catch
+means the mutation was seen. Exits 1 on any miss, timeout or error.
+
+Not collected by pytest on purpose: each mutation costs a pytest run. A
+change that finds a new way to break the engine adds its mutation here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+# name -> (file under src/rootkit, exact text, replacement, pytest arguments)
+MUTATIONS = {
+    "reflection table in closure order": (
+        "core.py",
+        "tuple(tuple(at[images[k][i]] for k in order)",
+        "tuple(tuple(images[k][i] for k in range(len(order)))",
+        ["tests/test_core.py"]),
+    "pairing table transposed": (
+        "core.py",
+        "sum(x * row[j] for x, row in zip(c, a) if x)",
+        "sum(x * a[j][k] for k, x in enumerate(c) if x)",
+        ["tests/test_core.py"]),
+    "pairing table in closure order": (
+        "core.py",
+        "self._simple_pairings = tuple(pairings[k] for k in order)",
+        "self._simple_pairings = tuple(pairings)",
+        ["tests/test_core.py"]),
+    "highest and short roots swapped": (
+        "core.py",
+        "[self.highest_index], [self.highest_short_index] = dominant",
+        "[self.highest_short_index], [self.highest_index] = dominant",
+        ["tests/test_core.py"]),
+    "dual coefficients off by one": (
+        "core.py",
+        "tuple(tuple(x // q for x in row) for row, q in nums)",
+        "tuple(tuple(x // q + 1 for x in row) for row, q in nums)",
+        ["tests/test_core.py"]),
+    "weights' scale read at Cartan column 0": (
+        "core.py",
+        "t = sum(x * row[i] for x, row in zip(v, self.cartan))",
+        "t = sum(x * row[0] for x, row in zip(v, self.cartan))",
+        ["tests/test_classify.py"]),
+    "P3 walk started at +alpha_i": (
+        "classify.py",
+        "levi_walk(s, i, s.negation(s.simple_root_index(i)))",
+        "levi_walk(s, i, s.simple_root_index(i))",
+        ["tests/test_classify.py"]),
+    "< 0 in the P3 sign test": (
+        "classify.py",
+        "p3 = max(s.simple_pairings(low)) <= 0",
+        "p3 = max(s.simple_pairings(low)) < 0",
+        ["tests/test_classify.py"]),
+    "last positive letter in descent_letter": (
+        "classify.py",
+        "return next((j for j, p in enumerate(s.simple_pairings(idx))",
+        "return next((j for j, p in reversed(list(enumerate(s.simple_pairings(idx))))",
+        ["tests/test_digests.py"]),
+    "return [] in descent_blockers": (
+        "classify.py",
+        "    simple = s.simple_root_index(i)\n",
+        "    return []\n",
+        ["tests/test_classify.py", "-k", "blockers"]),
+    "return [] in the Levi scan": (
+        "classify.py",
+        "    out = []\n",
+        "    return []\n",
+        ["tests/test_classify.py", "-k", "levi_violations"]),
+    "co-special start at the highest root": (
+        "witness.py",
+        "start = s.highest_short_index",
+        "start = s.highest_index",
+        ["tests/test_witness.py"]),
+    "walk's height check dropped": (
+        "classify.py",
+        "if s.height_of_index(nxt) >= s.height_of_index(idx):",
+        "if False:",
+        ["tests/test_witness.py", "tests/test_classify.py"]),
+    "P1 always true": (
+        "classify.py",
+        "return all(len(vals) == 1 for vals in classes.values())",
+        "return True",
+        ["tests/test_classify.py"]),
+    "orbit key base M + 1": (
+        "weyl.py",
+        "base = 2 * _pairing_bound(s, start[:n]) + 1",
+        "base = _pairing_bound(s, start[:n]) + 1",
+        ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
+    "orbit key base 2M": (
+        "weyl.py",
+        "base = 2 * _pairing_bound(s, start[:n]) + 1",
+        "base = 2 * _pairing_bound(s, start[:n])",
+        ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
+    "_pairing_bound reading h at highest_index": (
+        "weyl.py",
+        "h = s.dual_base_coefficients(s.highest_short_index)",
+        "h = s.dual_base_coefficients(s.highest_index)",
+        ["tests/test_weyl.py", "-k", "pairing_bound"]),
+    "_start's scale without the simple roots' denominators": (
+        "weyl.py",
+        "scale = lcm(den * lcm(*(x.denominator for a in s.simples for x in a)),",
+        "scale = lcm(den,",
+        ["tests/test_weyl.py"]),
+    "value for abs(value) in is_quasi_constant": (
+        "classify.py",
+        ".add(abs(value))",
+        ".add(value)",
+        ["tests/test_classify.py"]),
+    "; in vector_str": (
+        "linalg.py",
+        'return "[" + ", ".join(vector_strs(v)) + "]"',
+        'return "[" + "; ".join(vector_strs(v)) + "]"',
+        ["tests/test_cli.py", "tests/test_digests.py"]),
+    "_replay without reversed": (
+        "weyl.py",
+        "for i in reversed(word.letters):",
+        "for i in word.letters:",
+        ["tests/test_weyl.py", "tests/test_witness.py"]),
+    "the trail shifted by one": (
+        "witness.py",
+        "tuple(trail[1:])",
+        "tuple(trail[:-1])",
+        ["tests/test_witness.py"]),
+    "_start's coordinate rows doubled": (
+        "weyl.py",
+        "rows = [a + tuple(x.numerator * (k // x.denominator) for x in alpha)",
+        "rows = [a + tuple(2 * x.numerator * (k // x.denominator) for x in alpha)",
+        ["tests/test_weyl.py"]),
+}
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    (dest / "perfbench").mkdir()  # test_digests.py reads the digests
+    shutil.copy2(ROOT / "perfbench" / "digests.json", dest / "perfbench")
+
+
+def run_pytest(where: Path, args: list[str]) -> str:
+    """'pass', 'fail', 'timeout' or 'error <exit code>'."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           *args]
+    try:
+        proc = subprocess.run(cmd, cwd=where, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "pass", 1: "fail"}.get(proc.returncode, f"error {proc.returncode}")
+
+
+def mutated(path: str, old: str, new: str) -> str:
+    """The source of src/rootkit/path with old replaced by new, once."""
+    text = (ROOT / "src" / "rootkit" / path).read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"{path}: {old!r} occurs {text.count(old)} times, "
+                         "not once; update the mutation")
+    return text.replace(old, new)
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - set(MUTATIONS)
+    if unknown:
+        raise SystemExit(f"unknown mutations: {sorted(unknown)}")
+    chosen = {n: MUTATIONS[n] for n in names or MUTATIONS}
+    sources = {n: mutated(*m[:3]) for n, m in chosen.items()}
+    bad = []
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="rootkit-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        for args in dict.fromkeys(tuple(m[3]) for m in chosen.values()):
+            result = run_pytest(base, list(args))
+            if result != "pass":
+                print(f"the unmutated copy does not pass ({result}): "
+                      f"{' '.join(args)}")
+                return 1
+        for k, (name, (path, _, _, args)) in enumerate(chosen.items()):
+            where = Path(tmp) / f"m{k}"
+            copy_tree(where)
+            (where / "src" / "rootkit" / path).write_text(sources[name])
+            result = run_pytest(where, args)
+            status = {"fail": "caught", "pass": "MISSED"}.get(result, result.upper())
+            print(f"{status}: {name} ({' '.join(args)})", flush=True)
+            if status != "caught":
+                bad.append(name)
+            shutil.rmtree(where)
+    print(f"{len(chosen) - len(bad)} of {len(chosen)} mutations caught "
+          f"in {time.perf_counter() - t0:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

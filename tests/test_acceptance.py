@@ -12,7 +12,15 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from helpers import ambient_orbit, get_system, random_weight_vectors, type_names, vadd
+from helpers import (
+    ambient_orbit,
+    form_value,
+    get_system,
+    random_weight_vectors,
+    type_names,
+    vadd,
+    vscale,
+)
 from rootkit import (
     LengthClass,
     apply_word,
@@ -32,7 +40,6 @@ from rootkit import (
     orbit,
     reflect,
 )
-from rootkit.linalg import form_value, vscale
 
 Q = Fraction
 

@@ -8,12 +8,14 @@ import pytest
 
 from helpers import (
     ambient_orbit,
+    form_value,
     get_system,
     random_weight_vectors,
     raw_pairing,
     type_names,
     vadd,
     vneg,
+    vscale,
     zero_vector,
 )
 from rootkit import (
@@ -41,7 +43,6 @@ from rootkit import (
     theorem_row,
     verify_theorem,
 )
-from rootkit.linalg import form_value, vscale
 
 Q = Fraction
 

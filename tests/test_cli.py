@@ -289,7 +289,8 @@ class TestInvariantChecks:
     def test_corrupt_replay_exit_1(self, monkeypatch, capsys):
         import rootkit.witness as witness
 
-        monkeypatch.setattr(witness, "apply_word", lambda s, word, v: v)
+        monkeypatch.setattr(witness, "_replay",
+                            lambda s, word, v: [v] * (len(word) + 1))
         assert main(["witness", "B3", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -298,7 +299,8 @@ class TestInvariantChecks:
     def test_verify_replays_witnesses(self, monkeypatch, capsys):
         import rootkit.witness as witness
 
-        monkeypatch.setattr(witness, "apply_word", lambda s, word, v: v)
+        monkeypatch.setattr(witness, "_replay",
+                            lambda s, word, v: [v] * (len(word) + 1))
         assert main(["verify", "--types", "B3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -5,12 +5,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dot,
+    form_value,
     get_system,
+    mat_vec,
     raw_pairing,
     solve_base_coefficients,
     type_names,
     vadd,
     vneg,
+    vscale,
+    vsub,
 )
 from rootkit import (
     CartanType,
@@ -29,7 +34,6 @@ from rootkit import (
     pairing,
     symmetrizer,
 )
-from rootkit.linalg import dot, form_value, mat_vec, vscale, vsub
 
 Q = Fraction
 

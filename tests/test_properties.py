@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import get_system, vadd, zero_vector
+from helpers import form_value, get_system, vadd, vscale, zero_vector
 from rootkit import (
     WeylWord,
     apply_word,
@@ -16,7 +16,6 @@ from rootkit import (
     orbit,
     reflect,
 )
-from rootkit.linalg import form_value, vscale
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]
 

@@ -8,12 +8,16 @@ import pytest
 
 from helpers import (
     ambient_orbit,
+    dot,
     get_system,
+    mat_vec,
     random_weight_vectors,
     raw_pairing,
+    textbook_word,
     type_names,
     vadd,
     vneg,
+    vscale,
     zero_vector,
 )
 from rootkit import (
@@ -38,7 +42,6 @@ from rootkit import (
     reflect,
 )
 from rootkit.errors import NotARoot, NotPositiveRoot
-from rootkit.linalg import dot, mat_vec, vscale
 from rootkit.weyl import _pairing_bound
 
 Q = Fraction
@@ -76,6 +79,32 @@ class TestReflect:
             reflect(s, 2, s.simples[0])
         with pytest.raises(BadIndex):
             reflect(s, -1, s.simples[0])
+
+    @pytest.mark.parametrize("i", [-1, True, 5])
+    def test_pair_simple_bad_index(self, i):
+        s = get_system("A2")
+        with pytest.raises(BadIndex):
+            s.pair_simple((1, -1, 0), i)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_matches_textbook_formula(self, name, dual):
+        # The textbook reference shares no code with the integer state;
+        # dual G2 and dual F4 have non-integral simple roots.
+        s = get_system(name).dual if dual else get_system(name)
+        rng = random.Random(f"{name}-{dual}")
+        seeds = [tuple(rng.randint(-4, 4) for _ in range(s.dim)),
+                 tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(s.dim))]
+        words = [()] + [tuple(rng.randrange(s.rank)
+                              for _ in range(rng.randint(1, 2 * s.rank)))
+                        for _ in range(6)]
+        for v in seeds:
+            for letters in words:
+                want = textbook_word(s, letters, v)
+                assert apply_word(s, WeylWord(letters), v) == want[-1]
+                if letters:
+                    assert reflect(s, letters[-1], v) == want[1]
 
 
 class TestWeylWord:
@@ -437,8 +466,7 @@ def test_orbit_and_dominant_rep_reflect_no_ambient_vector(monkeypatch):
 
     want = results()
     for module, name in [(weyl, "reflect"), (weyl, "apply_word"),
-                         (weyl, "vsub"), (weyl, "vscale"),
-                         (linalg, "vsub"), (linalg, "vscale")]:
+                         (linalg, "vscale")]:
         monkeypatch.setattr(module, name, refuse)
     assert results() == want
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import get_system, type_names, vneg
+from helpers import get_system, textbook_word, type_names, vneg
 from rootkit import (
     InvariantViolation,
     LengthClass,
@@ -40,12 +40,14 @@ def vec(*xs):
 
 
 def assert_trail(s, res):
-    """The trail is the chain of single reflections from the source."""
+    """The trail is the chain of single reflections from the source, and
+    the textbook formula's chain."""
     chain, v = [], res.source
     for letter in reversed(res.word.letters):
         v = reflect(s, letter, v)
         chain.append(v)
     assert res.trail == tuple(chain)
+    assert res.trail == tuple(textbook_word(s, res.word.letters, res.source)[1:])
     assert len(res.trail) == len(res.word)
     assert v == res.target
 
@@ -264,7 +266,8 @@ class TestInvariantViolations:
         import rootkit.witness as witness
 
         s = get_system("A3")
-        monkeypatch.setattr(witness, "apply_word", lambda s, word, v: v)
+        monkeypatch.setattr(witness, "_replay",
+                            lambda s, word, v: [v] * (len(word) + 1))
         with pytest.raises(InvariantViolation, match="misses the target"):
             levi_conjugator(s, 0, highest_roots(s)[0])
 
