@@ -19,7 +19,6 @@ import time
 from . import report as report_mod
 from .classify import (
     descent_blockers,
-    height,
     highest_roots,
     levi_orbit_multiplicity_violations,
     verify_theorem,
@@ -57,6 +56,8 @@ def _write(text: str, out_path: str | None) -> None:
 def cmd_describe(args) -> tuple[str, int]:
     s = build_system(CartanType.parse(args.ctype))
     top, top_short = highest_roots(s)
+    heights = {k: s.height_of_index(k) for k in range(len(s.roots))
+               if s.is_positive_index(k)}
     if args.format == "json":
         payload = {
             "schema_version": report_mod.SCHEMA_VERSION,
@@ -68,7 +69,7 @@ def cmd_describe(args) -> tuple[str, int]:
             "simples": [vector_strs(a) for a in s.simples],
             "roots": [vector_strs(b) for b in s.roots],
             "positives": [vector_strs(b) for b in s.positives],
-            "heights": [height(s, b) for b in s.positives],
+            "heights": list(heights.values()),
             "form": [vector_strs(row) for row in s.form],
             "highest_root": vector_strs(top),
             "highest_short": vector_strs(top_short),
@@ -82,12 +83,12 @@ def cmd_describe(args) -> tuple[str, int]:
     ]
     for i, a in enumerate(s.simples):
         lines.append(f"  {i} (a{i + 1}): {vector_str(a)}")
-    lines.append(f"highest root: {vector_str(top)} (height {height(s, top)})")
+    lines.append(f"highest root: {vector_str(top)} (height {heights[s.highest_index]})")
     lines.append(f"highest short root: {vector_str(top_short)} "
-                 f"(height {height(s, top_short)})")
+                 f"(height {heights[s.highest_short_index]})")
     lines.append("positive roots by height:")
-    for b in s.positives:
-        lines.append(f"  {height(s, b):3d}  {vector_str(b)}")
+    for k, h in heights.items():
+        lines.append(f"  {h:3d}  {vector_str(s.roots[k])}")
     lines.append("form (Gram matrix):")
     for row in s.form:
         lines.append(f"  {vector_str(row)}")

@@ -3,17 +3,17 @@
 Every type has one construction path: ``RootSystem`` runs the breadth-first
 reflection closure of the base under the Cartan matrix, in integer base
 coefficients, and records each root's pairings and reflection images as it
-goes. Negation, heights, squared lengths and coroot coefficients follow in
-integer arithmetic. Ambient coordinates are an embedding at the boundary:
-the classical families A/B/C/D and G2 place each root at
-``sum c_i * simple_i`` in their standard coordinates (type A and G2 inside
-the sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard inner
+goes. Negation, heights, squared lengths, coroot coefficients and the
+pairing and step rows that every Weyl reflection of a caller's vector
+reads follow in integer arithmetic. Ambient coordinates are an embedding
+at the boundary: the classical families A/B/C/D and G2 place each root at
+``sum c_i * simple_i`` in their standard coordinates (type A and G2 in the
+sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard inner
 product) and check the result against the textbook root list, so textbook
 identities hold bit-exactly. E6/E7/E8/F4 keep the base coefficients as
 coordinates, with the form given by the minimal positive-integer
 symmetrization of the Cartan matrix; ``closure_system`` returns that model
-for every family. ``dual_system`` reruns the closure on the transposed
-Cartan matrix.
+for every family; ``dual_system`` reruns the closure on the transpose.
 
 Ambient coordinates are exact rationals. Roots are stored in a deterministic
 order (by height of the positive representative, then lexicographic, sorted
@@ -32,7 +32,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import BadIndex, InadmissibleRank, NonIntegralSolution, NotARoot, ParseError
-from .linalg import Vector, dot, mat_vec, vector, vscale
+from .linalg import Vector, dot, mat_vec, vector
 
 _FAMILIES = tuple("ABCDEFG")
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -157,17 +157,17 @@ class LengthClass(Enum):
 class RootSystem:
     """Immutable bundle of roots, base, positives, form and index tables.
 
-    Not constructed directly: use ``build_system`` / ``closure_system`` /
-    ``dual_system``. The roots are the reflection closure of the base, as
-    integer coefficient tuples; it computes every root's pairing with every
-    simple coroot once and records each reflection image as an index, so
-    the root set is closed by construction. The pairings also give the
-    highest root and highest short root, at ``highest_index`` and
-    ``highest_short_index``; ``simple_root_index(i)`` is the index of
-    ``simples[i]``. The engine passes these indices; ambient vectors,
-    ``sum c_i * simples[i]``, are built once, after the sort on integer
-    numerators. The dual system and the fundamental weights are computed on
-    first use. Validated at construction time:
+    Built by ``build_system``, ``closure_system`` or ``dual_system``. The
+    roots are the reflection closure of the base, as integer coefficient
+    tuples; every root's pairing with every simple coroot is computed once
+    and each reflection image recorded as an index, so the root set is
+    closed by construction. The pairings also give ``highest_index`` and
+    ``highest_short_index``. Ambient vectors, ``sum c_i * simples[i]``, are
+    built once, after the sort on integer numerators. Any vector pairs with
+    the simple coroots through one integer table, ``_pair_rows`` over
+    ``_pair_den``; ``_steps[i]``, Cartan row i then den * simples[i], is the
+    Weyl step of weyl's integer state. The dual system and the fundamental
+    weights are computed on first use. Validated at construction time:
 
     - the form is symmetric;
     - the ambient Gram matrix of the base is a positive multiple of the
@@ -270,9 +270,13 @@ class RootSystem:
         self.max_sq_length = max(self._sq)
         self.min_sq_length = min(self._sq)
 
-        # Pairing functionals: <v, alpha_i^v> = dot(_pair_func[i], v).
-        self._pair_func = tuple(vscale(Fraction(2, 1) / gram[i][i], g)
-                                for i, g in enumerate(gsimple))
+        # Integer pairing rows: <v, alpha_i^v> = (_pair_rows[i] . v) / _pair_den.
+        funcs = [[2 / gram[i][i] * x for x in g] for i, g in enumerate(gsimple)]
+        self._pair_den = pden = lcm(*(x.denominator for f in funcs for x in f))
+        self._pair_rows = tuple(tuple(x.numerator * (pden // x.denominator) for x in f)
+                                for f in funcs)
+        self._den = den  # step row i: Cartan row i, then den * alpha_i
+        self._steps = tuple(a[i] + tuple(col[i] for col in cols) for i in range(n))
 
         # Dual coefficients: beta^v = sum c_i alpha_i^v with
         # c_i = m_i (alpha_i, alpha_i) / (beta, beta) = m_i * 2 d_i / (c.b.c).
@@ -339,8 +343,9 @@ class RootSystem:
         return self.max_sq_length == self.min_sq_length
 
     def pair_simple(self, v: Vector, i: int) -> Fraction:
-        """<v, alpha_i^v>, exact."""
-        return dot(self._pair_func[self.check_simple_index(i)], vector(v, self.dim))
+        """<v, alpha_i^v>, exact, read on the integer pairing row i."""
+        row = self._pair_rows[self.check_simple_index(i)]
+        return dot(row, vector(v, self.dim)) / self._pair_den
 
     def simple_pairings(self, idx: int) -> tuple[int, ...]:
         """<roots[idx], alpha_j^v> for every simple index j, as integers."""
@@ -482,14 +487,14 @@ def closure_system(ctype: CartanType | str) -> RootSystem:
 def coroot(s: RootSystem, beta) -> Vector:
     """The coroot 2*beta/(beta, beta)."""
     idx = s.index(beta)
-    return vscale(Fraction(2, 1) / s.sq_length(idx), s.roots[idx])
+    return tuple(2 * x / s.sq_length(idx) for x in s.roots[idx])
 
 
 def pairing(s: RootSystem, chi, beta) -> Fraction:
-    """<chi, beta^v> = 2(chi, beta)/(beta, beta); integer on the weight lattice."""
-    idx = s.index(beta)
+    """<chi, beta^v> = sum_j c_j <chi, alpha_j^v>, c = beta's dual coefficients."""
+    dual = s.dual_base_coefficients(s.index(beta))
     chi = vector(chi, s.dim)
-    return 2 * linalg.form_value(s.form, chi, s.roots[idx]) / s.sq_length(idx)
+    return sum(c * s.pair_simple(chi, j) for j, c in enumerate(dual))
 
 
 _DUAL_FAMILY_SWAP = {"B": "C", "C": "B"}

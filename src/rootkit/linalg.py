@@ -48,11 +48,6 @@ def matrix(rows) -> Matrix:
     return tuple(vector(row, len(rows)) for row in rows)
 
 
-def vscale(c, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
 

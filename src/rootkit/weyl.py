@@ -4,8 +4,8 @@ Orbits and dominant reduction work for the full base as well as for any
 subset of simple indices (in particular the maximal-Levi subsets obtained
 by deleting one index). Every operation on a caller's vector enters
 ``_start``, which checks the generators, coerces the vector once and returns
-its integer state; a single step of that state updates the pairings and
-reflects the coordinates. ``orbit`` tests each step on one packed integer
+its integer state from the system's pairing rows; one step of that state by
+the system's step row updates the pairings and reflects the coordinates. ``orbit`` tests each step on one packed integer
 key of the pairings and builds the next state only for a conjugate it has
 not seen. apply_word steps the state once per letter, and reflect is its
 one-letter word.
@@ -17,7 +17,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .core import RootSystem
 from .errors import BadIndex, InvariantViolation
@@ -106,34 +107,28 @@ def apply_word(s: RootSystem, word: WeylWord, v) -> Vector:
     return _replay(s, word, v)[-1]
 
 
-def _start(s: RootSystem, v, subset: Subset) -> tuple[tuple[int, ...], tuple, list, int]:
-    """Check the generator subset and coerce v once; return the sorted
-    generators, the integer state of v, the step rows and the scale. The
-    state is den*<v, alpha_j^v> for every j, then scale*v; row i is Cartan
-    row i, then (scale/den)*alpha_i, so state - state[i]*row_i is the state
-    of s_i(v). scale/den clears the simple roots' denominators."""
-    gens = tuple(sorted(set(subset)))
-    for i in gens:
-        s.check_simple_index(i)
+def _start(s: RootSystem, v, subset: Subset) -> tuple[tuple[int, ...], tuple, tuple, int]:
+    """Check the generator subset and coerce v = num/q (q the common
+    denominator of its entries) once; return the sorted generators, v's
+    integer state, the step rows and the scale t*q, t = _pair_den*den. The
+    state is _pair_den*q*<v, alpha_j^v> for every j, then t*num; with row i
+    of s._steps, state - state[i]*row_i is the state of s_i(v)."""
+    gens = tuple(map(s.check_simple_index, sorted(set(subset))))
     v = vector(v, s.dim)
-    lam = [s.pair_simple(v, i) for i in range(s.rank)]
-    den = lcm(*(x.denominator for x in lam))
-    scale = lcm(den * lcm(*(x.denominator for a in s.simples for x in a)),
-                *(x.denominator for x in v))
-    k = scale // den
-    rows = [a + tuple(x.numerator * (k // x.denominator) for x in alpha)
-            for a, alpha in zip(s.cartan, s.simples)]
-    state = (tuple(x.numerator * (den // x.denominator) for x in lam)
-             + tuple(x.numerator * (scale // x.denominator) for x in v))
-    return gens, state, rows, scale
+    q = lcm(*(x.denominator for x in v))
+    num = [x.numerator * (q // x.denominator) for x in v]
+    t = s._pair_den * s._den
+    state = (tuple(sum(map(mul, row, num)) for row in s._pair_rows)
+             + tuple(t * x for x in num))
+    return gens, state, s._steps, t * q
 
 
 def _pairing_bound(s: RootSystem, lam) -> int:
-    """M = sum_k h_k |lam_k| for the pairings lam_k = den*<v, alpha_k^v>,
-    with h the highest coroot over the simple coroots. A pairing
+    """M = sum_k h_k |lam_k| for the scaled pairings lam_k = r*<v, alpha_k^v>,
+    r > 0, with h the highest coroot over the simple coroots. A pairing
     <w, alpha_j^v> of a conjugate w of v is <v, gamma^v> for some coroot
     gamma^v, whose coefficients are at most h's in absolute value, so every
-    den*<w, alpha_j^v> lies in [-M, M]. For a dominant v, M is reached."""
+    r*<w, alpha_j^v> lies in [-M, M]. For a dominant v, M is reached."""
     h = s.dual_base_coefficients(s.highest_short_index)
     return sum(hk * abs(x) for hk, x in zip(h, lam))
 
@@ -165,16 +160,17 @@ def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
 def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     """Breadth-first closure of {v} under the chosen simple reflections.
 
-    The pairings den*<w, alpha_j^v> determine a conjugate w, and lie in
-    [-M, M] (``_pairing_bound``), so they pack into one integer key in
-    balanced base 2M + 1, and s_i subtracts den*<w, alpha_i^v> times the
-    packed Cartan row i from it. A conjugate's pairings and scaled
-    coordinates are reflected only when its key is new, and each distinct
-    coordinate becomes one Fraction.
+    The scaled pairings r*<w, alpha_j^v> (r > 0, see ``_start``) determine a
+    conjugate w. They lie in [-M, M] (``_pairing_bound``) and, as integer
+    combinations of v's, are multiples of their gcd g: g times a key in
+    balanced base 2M/g + 1 packs them, and s_i subtracts r*<w, alpha_i^v>
+    times the packed Cartan row i. Pairings and coordinates are reflected
+    only for a new key; each distinct coordinate becomes one Fraction.
     """
     gens, start, rows, scale = _start(s, v, subset)
     n = s.rank
-    base = 2 * _pairing_bound(s, start[:n]) + 1
+    g = gcd(*start[:n]) or 1
+    base = 2 * _pairing_bound(s, start[:n]) // g + 1
     packed = [sum(x * base ** j for j, x in enumerate(row[:n])) for row in rows]
     key = sum(x * base ** j for j, x in enumerate(start[:n]))
     seen = {key}
@@ -206,12 +202,14 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
 
     Reduction strategy: repeatedly reflect at the lowest index in the subset
     whose pairing is negative. The resulting vector is independent of the
-    strategy (the dominant representative is unique); the word is just one
-    valid witness, with every letter in the subset, and is not reduced.
+    strategy (the dominant representative is unique). The word, with every
+    letter in the subset, is reduced: each step removes one root from N(v),
+    the positive roots beta of the subset's span with <v, beta^v> < 0, so
+    len(word) == |N(v)|, the least length of any w making v subset-dominant
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
     """
     gens, state, rows, scale = _start(s, v, subset)
     applied: list[int] = []
-    # Each step lowers the number of positive roots pairing negatively.
     for _ in range(len(s.positives) + 1):
         i = next((i for i in gens if state[i] < 0), None)
         if i is None:

@@ -101,13 +101,13 @@ MUTATIONS = {
         ["tests/test_classify.py"]),
     "orbit key base M + 1": (
         "weyl.py",
-        "base = 2 * _pairing_bound(s, start[:n]) + 1",
-        "base = _pairing_bound(s, start[:n]) + 1",
+        "base = 2 * _pairing_bound(s, start[:n]) // g + 1",
+        "base = _pairing_bound(s, start[:n]) // g + 1",
         ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
     "orbit key base 2M": (
         "weyl.py",
-        "base = 2 * _pairing_bound(s, start[:n]) + 1",
-        "base = 2 * _pairing_bound(s, start[:n])",
+        "base = 2 * _pairing_bound(s, start[:n]) // g + 1",
+        "base = 2 * _pairing_bound(s, start[:n]) // g",
         ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
     "_pairing_bound reading h at highest_index": (
         "weyl.py",
@@ -116,8 +116,8 @@ MUTATIONS = {
         ["tests/test_weyl.py", "-k", "pairing_bound"]),
     "_start's scale without the simple roots' denominators": (
         "weyl.py",
-        "scale = lcm(den * lcm(*(x.denominator for a in s.simples for x in a)),",
-        "scale = lcm(den,",
+        "t = s._pair_den * s._den",
+        "t = s._pair_den",
         ["tests/test_weyl.py"]),
     "value for abs(value) in is_quasi_constant": (
         "classify.py",
@@ -139,11 +139,26 @@ MUTATIONS = {
         "tuple(trail[1:])",
         "tuple(trail[:-1])",
         ["tests/test_witness.py"]),
-    "_start's coordinate rows doubled": (
-        "weyl.py",
-        "rows = [a + tuple(x.numerator * (k // x.denominator) for x in alpha)",
-        "rows = [a + tuple(2 * x.numerator * (k // x.denominator) for x in alpha)",
+    "step rows' coordinates doubled": (
+        "core.py",
+        "a[i] + tuple(col[i] for col in cols)",
+        "a[i] + tuple(2 * col[i] for col in cols)",
         ["tests/test_weyl.py"]),
+    "pairing reads base instead of dual coefficients": (
+        "core.py",
+        "dual = s.dual_base_coefficients(s.index(beta))",
+        "dual = s.base_coefficients(s.index(beta))",
+        ["tests/test_core.py"]),
+    "_descend pads the word with j, j": (
+        "witness.py",
+        "word = WeylWord(tuple(letters))",
+        "word = WeylWord(tuple(letters) + tuple(letters[:1]) * 2)",
+        ["tests/test_digests.py"]),
+    "dominant_rep appends i, i, i": (
+        "weyl.py",
+        "applied.append(i)",
+        "applied.extend((i, i, i))",
+        ["tests/test_weyl.py", "-k", "reduced"]),
 }
 
 

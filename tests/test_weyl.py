@@ -13,6 +13,7 @@ from helpers import (
     mat_vec,
     random_weight_vectors,
     raw_pairing,
+    solve_base_coefficients,
     textbook_word,
     type_names,
     vadd,
@@ -24,16 +25,20 @@ from rootkit import (
     BadIndex,
     InvariantViolation,
     LengthClass,
+    RootSystem,
     WeylWord,
     apply_word,
     build_system,
     dominant_rep,
+    dominant_witness,
     full_base,
     fundamental_weight,
     height,
     highest_roots,
+    is_cospecial,
     is_dominant,
     is_quasi_constant,
+    is_special,
     length_class,
     levi_subset,
     multiplicities,
@@ -333,16 +338,35 @@ class TestDominantRep:
             assert len(w) <= len(s.positives)
             cur = v
             for i in reversed(w.letters):
-                before = s.pair_simple(cur, i)
+                before = raw_pairing(s, cur, s.simples[i])
                 assert before < 0
                 cur = reflect(s, i, cur)
-                assert s.pair_simple(cur, i) == -before > 0
+                assert raw_pairing(s, cur, s.simples[i]) == -before > 0
             assert cur == d
 
+    @pytest.mark.parametrize("name", [
+        "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",
+        "C3", "C4", "C5", "C6", "D4", "D5", "D6", "E6", "F4", "G2"])
+    def test_word_is_reduced(self, name):
+        # len(word) == |N(v)|, the positive roots beta in the subset's span
+        # with <v, beta^v> < 0, counted from raw coordinates: no word that
+        # makes v dominant is shorter.
+        s = get_system(name)
+        coeffs = solve_base_coefficients(s.simples, s.form, s.positives)
+        seeds = random_weight_vectors(s, 8, seed=43)
+        for subset in (full_base(s), levi_subset(s, 0)):
+            span = [b for b, c in zip(s.positives, coeffs)
+                    if all(x == 0 for j, x in enumerate(c) if j not in subset)]
+            for v in seeds:
+                _, w = dominant_rep(s, v, subset)
+                assert len(w) == sum(raw_pairing(s, v, b) < 0 for b in span)
+
     def test_runaway_reduction_is_an_invariant_violation(self, monkeypatch):
-        # A zeroed Cartan row leaves the pairing at s_0 negative forever.
+        # A zeroed Cartan part of step row 0 leaves the pairing at s_0
+        # negative forever.
         s = build_system("A2")
-        monkeypatch.setattr(s, "cartan", ((0, 0), s.cartan[1]))
+        row0 = (0,) * s.rank + s._steps[0][s.rank:]
+        monkeypatch.setattr(s, "_steps", (row0,) + s._steps[1:])
         with pytest.raises(InvariantViolation, match="terminate"):
             dominant_rep(s, vneg(s.simples[0]), full_base(s))
 
@@ -446,7 +470,6 @@ class TestOrbitOrder:
 def test_orbit_and_dominant_rep_reflect_no_ambient_vector(monkeypatch):
     # Same results for the 31 types while the ambient reflection and the
     # vector arithmetic it uses refuse to run.
-    import rootkit.linalg as linalg
     import rootkit.weyl as weyl
 
     def refuse(*args):
@@ -465,9 +488,35 @@ def test_orbit_and_dominant_rep_reflect_no_ambient_vector(monkeypatch):
         return out
 
     want = results()
-    for module, name in [(weyl, "reflect"), (weyl, "apply_word"),
-                         (linalg, "vscale")]:
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("reflect", "apply_word"):
+        monkeypatch.setattr(weyl, name, refuse)
+    assert results() == want
+
+
+def test_weyl_reads_the_pairing_table(monkeypatch):
+    # Same results and witness trails for the 31 types while
+    # RootSystem.pair_simple refuses to run: every operation on a caller's
+    # vector reads the integer pairing rows the system built once.
+    def refuse(*args):
+        raise AssertionError("paired through RootSystem.pair_simple")
+
+    def results():
+        out = []
+        for name in type_names(8):
+            s = get_system(name)
+            half = tuple(x / 2 for x in s.simples[-1])
+            v = random_weight_vectors(s, 1, seed=47)[0]
+            for subset in (full_base(s), levi_subset(s, 0)):
+                out.append(orbit(s, half, subset).elements)
+                out.append(dominant_rep(s, v, subset))
+                out.append(is_dominant(s, v, subset))
+            out.append(apply_word(s, WeylWord(tuple(range(s.rank)) * 2), v))
+            out.extend(dominant_witness(s, i).trail for i in range(s.rank)
+                       if is_special(s, i) or is_cospecial(s, i))
+        return out
+
+    want = results()
+    monkeypatch.setattr(RootSystem, "pair_simple", refuse)
     assert results() == want
 
 
