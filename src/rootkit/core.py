@@ -165,9 +165,10 @@ class RootSystem:
     ``highest_short_index``. Ambient vectors, ``sum c_i * simples[i]``, are
     built once, after the sort on integer numerators. Any vector pairs with
     the simple coroots through one integer table, ``_pair_rows`` over
-    ``_pair_den``; ``_steps[i]``, Cartan row i then den * simples[i], is the
-    Weyl step of weyl's integer state. The dual system and the fundamental
-    weights are computed on first use. Validated at construction time:
+    ``_pair_den``; ``_steps[i]``, the nonzero (position, value) entries of
+    Cartan row i then den * simples[i], is the Weyl step of weyl's integer
+    state. The dual system and the fundamental weights are computed on first
+    use. Validated at construction time:
 
     - the form is symmetric;
     - the ambient Gram matrix of the base is a positive multiple of the
@@ -275,8 +276,9 @@ class RootSystem:
         self._pair_den = pden = lcm(*(x.denominator for f in funcs for x in f))
         self._pair_rows = tuple(tuple(x.numerator * (pden // x.denominator) for x in f)
                                 for f in funcs)
-        self._den = den  # step row i: Cartan row i, then den * alpha_i
-        self._steps = tuple(a[i] + tuple(col[i] for col in cols) for i in range(n))
+        self._den = den  # sparse step row i: Cartan row i, then den * alpha_i
+        steps = [a[i] + tuple(col[i] for col in cols) for i in range(n)]
+        self._steps = tuple(tuple((p, x) for p, x in enumerate(row) if x) for row in steps)
 
         # Dual coefficients: beta^v = sum c_i alpha_i^v with
         # c_i = m_i (alpha_i, alpha_i) / (beta, beta) = m_i * 2 d_i / (c.b.c).

@@ -4,15 +4,16 @@ Orbits and dominant reduction work for the full base as well as for any
 subset of simple indices (in particular the maximal-Levi subsets obtained
 by deleting one index). Every operation on a caller's vector enters
 ``_start``, which checks the generators, coerces the vector once and returns
-its integer state from the system's pairing rows; one step of that state by
-the system's step row updates the pairings and reflects the coordinates. ``orbit`` tests each step on one packed integer
-key of the pairings and builds the next state only for a conjugate it has
-not seen. apply_word steps the state once per letter, and reflect is its
-one-letter word.
+its integer state from the pairing rows. ``_step`` by a sparse step row
+updates the pairings and reflects the coordinates at its nonzero positions.
+``orbit`` keys each step on the packed pairings, builds a state only for an
+unseen conjugate and holds only the seen keys, the unexpanded states and the
+result. apply_word steps once per letter; reflect is its one-letter word.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,6 +145,14 @@ class _Rationals(dict):
         return f
 
 
+def _step(state, c, row) -> list[int]:
+    """A copy of the state minus c times the sparse step row."""
+    state = list(state)
+    for p, x in row:
+        state[p] -= c * x
+    return state
+
+
 def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
     """v, then the vector reached after each letter of the word, last letter
     first: one integer step of v's state per letter."""
@@ -151,8 +160,7 @@ def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
     rationals = _Rationals(scale)
     out = [tuple(map(rationals.__getitem__, state[s.rank:]))]
     for i in reversed(word.letters):
-        c = state[i]
-        state = tuple([x - c * r for x, r in zip(state, rows[i])])
+        state = _step(state, state[i], rows[i])
         out.append(tuple(map(rationals.__getitem__, state[s.rank:])))
     return out
 
@@ -164,20 +172,21 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     conjugate w. They lie in [-M, M] (``_pairing_bound``) and, as integer
     combinations of v's, are multiples of their gcd g: g times a key in
     balanced base 2M/g + 1 packs them, and s_i subtracts r*<w, alpha_i^v>
-    times the packed Cartan row i. Pairings and coordinates are reflected
-    only for a new key; each distinct coordinate becomes one Fraction.
+    times the packed Cartan row i. Only a new key gets a state; the walk
+    holds the seen keys, the frontier and the result, one Fraction per value.
     """
     gens, start, rows, scale = _start(s, v, subset)
     n = s.rank
     g = gcd(*start[:n]) or 1
     base = 2 * _pairing_bound(s, start[:n]) // g + 1
-    packed = [sum(x * base ** j for j, x in enumerate(row[:n])) for row in rows]
+    packed = [sum(x * base ** p for p, x in row if p < n) for row in rows]
     key = sum(x * base ** j for j, x in enumerate(start[:n]))
     seen = {key}
-    found = [(key, start)]
+    queue = deque([(key, start)])  # the states not yet expanded
     rationals = _Rationals(scale)
     elements = [tuple(map(rationals.__getitem__, start[n:]))]
-    for key, state in found:  # the list grows while it is walked
+    while queue:
+        key, state = queue.popleft()
         for i in gens:
             c = state[i]
             if c == 0:
@@ -185,8 +194,8 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
             new = key - c * packed[i]
             if new not in seen:
                 seen.add(new)
-                state_new = tuple([x - c * r for x, r in zip(state, rows[i])])
-                found.append((new, state_new))
+                state_new = _step(state, c, rows[i])
+                queue.append((new, state_new))
                 elements.append(tuple(map(rationals.__getitem__, state_new[n:])))
     return Orbit(tuple(elements), frozenset(gens))
 
@@ -215,7 +224,6 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
         if i is None:
             word = WeylWord(tuple(reversed(applied)))
             return tuple(Fraction(x, scale) for x in state[s.rank:]), word
-        c = state[i]
-        state = tuple(x - c * r for x, r in zip(state, rows[i]))
+        state = _step(state, state[i], rows[i])
         applied.append(i)
     raise InvariantViolation("dominant reduction did not terminate")

@@ -141,9 +141,14 @@ MUTATIONS = {
         ["tests/test_witness.py"]),
     "step rows' coordinates doubled": (
         "core.py",
-        "a[i] + tuple(col[i] for col in cols)",
-        "a[i] + tuple(2 * col[i] for col in cols)",
+        "steps = [a[i] + tuple(col[i] for col in cols)",
+        "steps = [a[i] + tuple(2 * col[i] for col in cols)",
         ["tests/test_weyl.py"]),
+    "orbit pops the newest state": (
+        "weyl.py",
+        "queue.popleft()",
+        "queue.pop()",
+        ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
     "pairing reads base instead of dual coefficients": (
         "core.py",
         "dual = s.dual_base_coefficients(s.index(beta))",
