@@ -3,22 +3,21 @@
 Every type has one construction path: ``RootSystem`` runs the breadth-first
 reflection closure of the base under the Cartan matrix, in integer base
 coefficients, and records each root's pairings and reflection images as it
-goes. Negation, heights, squared lengths, coroot coefficients and the
-pairing and step rows that every Weyl reflection of a caller's vector
-reads follow in integer arithmetic. Ambient coordinates are an embedding
-at the boundary: the classical families A/B/C/D and G2 place each root at
-``sum c_i * simple_i`` in their standard coordinates (type A and G2 in the
-sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard inner
-product) and check the result against the textbook root list, so textbook
-identities hold bit-exactly. E6/E7/E8/F4 keep the base coefficients as
-coordinates, with the form given by the minimal positive-integer
-symmetrization of the Cartan matrix; ``closure_system`` returns that model
-for every family; ``dual_system`` reruns the closure on the transpose.
-
-Ambient coordinates are exact rationals. Roots are stored in a deterministic
-order (by height of the positive representative, then lexicographic, sorted
-on integer numerators over one denominator), so indices, orbits and
-serialized reports are reproducible across runs.
+goes. Negation, heights, squared lengths, coroot coefficients, fundamental
+weights and the pairing and step rows of every Weyl reflection are read off
+those integer tables. Ambient coordinates are a rendering at the boundary:
+integer numerators over one denominator, made exact by ``linalg.Rationals``.
+The classical families A/B/C/D and G2 place each root at ``sum c_i *
+simple_i`` in their standard coordinates (type A and G2 in the sum-zero
+hyperplane of Q^n, types B/C/D in Q^n with the standard inner product) and
+check the result against the textbook root list, so textbook identities
+hold bit-exactly. E6/E7/E8/F4 keep the base coefficients as coordinates,
+with the form given by the minimal positive-integer symmetrization of the
+Cartan matrix; ``closure_system`` returns that model for every family;
+``dual_system`` reruns the closure on the transpose. Roots are sorted by the
+height of the positive representative, then lexicographically on their
+integer numerators, so indices, orbits and serialized reports are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -161,19 +160,20 @@ class RootSystem:
     roots are the reflection closure of the base, as integer coefficient
     tuples; every root's pairing with every simple coroot is computed once
     and each reflection image recorded as an index, so the root set is
-    closed by construction. The pairings also give ``highest_index`` and
-    ``highest_short_index``. Ambient vectors, ``sum c_i * simples[i]``, are
-    built once, after the sort on integer numerators. Any vector pairs with
-    the simple coroots through one integer table, ``_pair_rows`` over
-    ``_pair_den``; ``_steps[i]``, the nonzero (position, value) entries of
-    Cartan row i then den * simples[i], is the Weyl step of weyl's integer
-    state. The dual system and the fundamental weights are computed on first
-    use. Validated at construction time:
+    closed by construction. The pairings also give the squared lengths,
+    ``highest_index`` and ``highest_short_index``. A vector over the base
+    embeds through the integer columns ``_cols`` over ``_den``: the roots,
+    sorted on those numerators and rendered once by ``linalg.Rationals``,
+    and the fundamental weights, built on first use like the dual system.
+    Any vector pairs with the simple coroots through one integer table,
+    ``_pair_rows`` over ``_pair_den``; ``_steps[i]``, the nonzero (position,
+    value) entries of Cartan row i then den * simples[i], is the Weyl step
+    of weyl's integer state. Validated at construction time:
 
     - the form is symmetric;
-    - the ambient Gram matrix of the base is a positive multiple of the
-      symmetrized Cartan matrix (so the Cartan matrix is the base's own,
-      and a finite-type one makes the form positive definite on the span);
+    - the ambient Gram matrix of the base is one positive scale times
+      A[i][j] * d_j, d the ``symmetrizer`` (so the Cartan matrix is the
+      base's own, and a finite-type one makes the form positive definite);
     - no root is zero and each has sign-homogeneous coefficients;
     - the closure stops within 4 * rank^2 roots; the root set is
       symmetric, reduced (2c is never a root) and has at most two lengths;
@@ -191,14 +191,12 @@ class RootSystem:
             raise ValueError("form is not symmetric")
         self.cartan = a = tuple(tuple(int(x) for x in row) for row in cartan)
 
-        # The symmetrized Cartan matrix b is the form on base coefficients,
-        # up to one positive scale fixed by the ambient Gram matrix.
+        # The base's Gram matrix is one positive scale times A[i][j] * d_j.
         d = symmetrizer(a)
-        b = tuple(tuple(a[i][j] * d[j] for j in range(n)) for i in range(n))
         gsimple = tuple(mat_vec(self.form, s) for s in self.simples)
         gram = [[dot(s, g) for g in gsimple] for s in self.simples]
-        scale = gram[0][0] / b[0][0]
-        if scale <= 0 or any(gram[i][j] != scale * b[i][j]
+        scale = gram[0][0] / (2 * d[0])
+        if scale <= 0 or any(gram[i][j] != scale * a[i][j] * d[j]
                              for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix of the base is not a positive "
                              "multiple of the symmetrized Cartan matrix")
@@ -227,8 +225,8 @@ class RootSystem:
 
         # Ambient root: sum c_i * simples[i], as integer numerators over the
         # common denominator den > 0 of the simple roots' coordinates.
-        den = lcm(*(x.denominator for v in self.simples for x in v))
-        cols = tuple(zip(*[[int(x * den) for x in v] for v in self.simples]))
+        self._den = den = lcm(*(x.denominator for v in self.simples for x in v))
+        self._cols = cols = tuple(zip(*[[int(x * den) for x in v] for v in self.simples]))
         keys = []
         for c in coeffs:
             if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
@@ -241,8 +239,8 @@ class RootSystem:
         # root k's new index. Each vector is built once, after the sort.
         order = sorted(range(len(coeffs)), key=keys.__getitem__)
         at = {old: new for new, old in enumerate(order)}
-        rational = {x: Fraction(x, den) for _, num in keys for x in num}
-        self.roots = tuple(tuple(map(rational.get, keys[k][1])) for k in order)
+        rational = linalg.Rationals(den)
+        self.roots = tuple(rational.vector(keys[k][1]) for k in order)
         self._coeffs = tuple(coeffs[k] for k in order)
         self._simple_index = tuple(at[i] for i in range(n))
         self._is_positive = tuple(sum(c) > 0 for c in self._coeffs)
@@ -259,10 +257,9 @@ class RootSystem:
         if any(tuple(2 * x for x in c) in found for c in coeffs):
             raise ValueError("system is not reduced")
 
-        # (beta, beta) = scale * c.b.c, an integer times the scale.
-        norms = tuple(sum(ci * b[i][j] * c[j] for i, ci in enumerate(c) if ci
-                          for j in range(n))
-                      for c in self._coeffs)
+        # (beta, beta) = scale * norm, norm = sum_j c_j <beta, alpha_j^v> d_j.
+        norms = tuple(sum(x * p * dj for x, p, dj in zip(c, ps, d))
+                      for c, ps in zip(self._coeffs, self._simple_pairings))
         if any(q <= 0 for q in norms):
             raise ValueError("form not positive on a root")
         if len(set(norms)) > 2:
@@ -276,12 +273,12 @@ class RootSystem:
         self._pair_den = pden = lcm(*(x.denominator for f in funcs for x in f))
         self._pair_rows = tuple(tuple(x.numerator * (pden // x.denominator) for x in f)
                                 for f in funcs)
-        self._den = den  # sparse step row i: Cartan row i, then den * alpha_i
+        # Sparse step row i: the nonzero entries of Cartan row i, then den * alpha_i.
         steps = [a[i] + tuple(col[i] for col in cols) for i in range(n)]
         self._steps = tuple(tuple((p, x) for p, x in enumerate(row) if x) for row in steps)
 
         # Dual coefficients: beta^v = sum c_i alpha_i^v with
-        # c_i = m_i (alpha_i, alpha_i) / (beta, beta) = m_i * 2 d_i / (c.b.c).
+        # c_i = m_i (alpha_i, alpha_i) / (beta, beta) = m_i * 2 d_i / norm.
         nums = [(tuple(2 * m * di for m, di in zip(c, d)), q)
                 for c, q in zip(self._coeffs, norms)]
         if any(x % q for row, q in nums for x in row):
@@ -376,17 +373,17 @@ class RootSystem:
         x -> sum over beta > 0 of <x, beta^v> beta commutes with W, so on the
         irreducible span it is a positive multiple of x. At x = omega_i the
         pairings are the i-th dual coefficients, so omega_i over the base is
-        v_i / <v_i, alpha_i^v> with v_i = sum dual_coeff_i(beta) * coeff(beta),
-        all in integers.
+        v_i / t with v_i = sum dual_coeff_i(beta) * coeff(beta), t = <v_i,
+        alpha_i^v>; the integer columns embed it over t * den.
         """
         pos = [(dc, c) for dc, c, p in
                zip(self._dual_coeffs, self._coeffs, self._is_positive) if p]
-        cols = linalg.transpose(self.simples)
         weights = []
         for i in range(self.rank):
             v = [sum(dc[i] * c[j] for dc, c in pos) for j in range(self.rank)]
             t = sum(x * row[i] for x, row in zip(v, self.cartan))
-            weights.append(mat_vec(cols, tuple(Fraction(x, t) for x in v)))
+            num = (sum(x * y for x, y in zip(v, col)) for col in self._cols)
+            weights.append(linalg.Rationals(t * self._den).vector(num))
         return tuple(weights)
 
     def __repr__(self) -> str:

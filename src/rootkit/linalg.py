@@ -18,19 +18,36 @@ def _exact(e) -> Fraction:
     if isinstance(e, (float, bool)):
         raise TypeError(f"vector entry {e!r} is a {type(e).__name__}, "
                         "not an exact rational")
-    return e if type(e) is Fraction else Fraction(e)
+    try:
+        return e if type(e) is Fraction else Fraction(e)
+    except ZeroDivisionError:
+        raise ValueError(f"vector entry {e!r} has a zero denominator") from None
 
 
 def vector(entries, dim: int | None = None) -> Vector:
-    """Coerce an iterable of exact rational entries (int, Fraction or a
-    rational string). A str in place of the iterable and float or bool
-    entries raise TypeError; a length other than ``dim``, ValueError."""
+    """Coerce exact rational entries (int, Fraction or a rational string).
+    A str in place of the iterable and float or bool entries raise TypeError;
+    a zero denominator or a length other than ``dim``, ValueError."""
     if isinstance(entries, str):
         raise TypeError(f"vector {entries!r} is a str, not a sequence of entries")
     v = tuple(map(_exact, entries))
     if dim is not None and len(v) != dim:
         raise ValueError(f"vector has {len(v)} entries, expected {dim}")
     return v
+
+
+class Rationals(dict):
+    """Integer numerators over one scale, each distinct Fraction built once."""
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        self[x] = f = Fraction(x, self.scale)
+        return f
+
+    def vector(self, nums) -> Vector:
+        return tuple(map(self.__getitem__, nums))
 
 
 def vector_strs(v) -> tuple[str, ...]:

@@ -16,14 +16,13 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
 from .core import RootSystem
 from .errors import BadIndex, InvariantViolation
-from .linalg import Vector, vector
+from .linalg import Rationals, Vector, vector
 
 Subset = Iterable[int]
 
@@ -108,10 +107,10 @@ def apply_word(s: RootSystem, word: WeylWord, v) -> Vector:
     return _replay(s, word, v)[-1]
 
 
-def _start(s: RootSystem, v, subset: Subset) -> tuple[tuple[int, ...], tuple, tuple, int]:
+def _start(s: RootSystem, v, subset: Subset) -> tuple[tuple[int, ...], tuple, Rationals]:
     """Check the generator subset and coerce v = num/q (q the common
     denominator of its entries) once; return the sorted generators, v's
-    integer state, the step rows and the scale t*q, t = _pair_den*den. The
+    integer state and a Rationals over its scale t*q, t = _pair_den*den. The
     state is _pair_den*q*<v, alpha_j^v> for every j, then t*num; with row i
     of s._steps, state - state[i]*row_i is the state of s_i(v)."""
     gens = tuple(map(s.check_simple_index, sorted(set(subset))))
@@ -121,7 +120,7 @@ def _start(s: RootSystem, v, subset: Subset) -> tuple[tuple[int, ...], tuple, tu
     t = s._pair_den * s._den
     state = (tuple(sum(map(mul, row, num)) for row in s._pair_rows)
              + tuple(t * x for x in num))
-    return gens, state, s._steps, t * q
+    return gens, state, Rationals(t * q)
 
 
 def _pairing_bound(s: RootSystem, lam) -> int:
@@ -132,17 +131,6 @@ def _pairing_bound(s: RootSystem, lam) -> int:
     r*<w, alpha_j^v> lies in [-M, M]. For a dominant v, M is reached."""
     h = s.dual_base_coefficients(s.highest_short_index)
     return sum(hk * abs(x) for hk, x in zip(h, lam))
-
-
-class _Rationals(dict):
-    """Scaled integer -> Fraction(x, scale), each built once."""
-
-    def __init__(self, scale: int):
-        self.scale = scale
-
-    def __missing__(self, x: int) -> Fraction:
-        self[x] = f = Fraction(x, self.scale)
-        return f
 
 
 def _step(state, c, row) -> list[int]:
@@ -156,12 +144,11 @@ def _step(state, c, row) -> list[int]:
 def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
     """v, then the vector reached after each letter of the word, last letter
     first: one integer step of v's state per letter."""
-    _, state, rows, scale = _start(s, v, word.letters)
-    rationals = _Rationals(scale)
-    out = [tuple(map(rationals.__getitem__, state[s.rank:]))]
+    _, state, rational = _start(s, v, word.letters)
+    out = [rational.vector(state[s.rank:])]
     for i in reversed(word.letters):
-        state = _step(state, state[i], rows[i])
-        out.append(tuple(map(rationals.__getitem__, state[s.rank:])))
+        state = _step(state, state[i], s._steps[i])
+        out.append(rational.vector(state[s.rank:]))
     return out
 
 
@@ -175,16 +162,15 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     times the packed Cartan row i. Only a new key gets a state; the walk
     holds the seen keys, the frontier and the result, one Fraction per value.
     """
-    gens, start, rows, scale = _start(s, v, subset)
+    gens, start, rational = _start(s, v, subset)
     n = s.rank
     g = gcd(*start[:n]) or 1
     base = 2 * _pairing_bound(s, start[:n]) // g + 1
-    packed = [sum(x * base ** p for p, x in row if p < n) for row in rows]
+    packed = [sum(x * base ** p for p, x in row if p < n) for row in s._steps]
     key = sum(x * base ** j for j, x in enumerate(start[:n]))
     seen = {key}
     queue = deque([(key, start)])  # the states not yet expanded
-    rationals = _Rationals(scale)
-    elements = [tuple(map(rationals.__getitem__, start[n:]))]
+    elements = [rational.vector(start[n:])]
     while queue:
         key, state = queue.popleft()
         for i in gens:
@@ -194,15 +180,15 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
             new = key - c * packed[i]
             if new not in seen:
                 seen.add(new)
-                state_new = _step(state, c, rows[i])
+                state_new = _step(state, c, s._steps[i])
                 queue.append((new, state_new))
-                elements.append(tuple(map(rationals.__getitem__, state_new[n:])))
+                elements.append(rational.vector(state_new[n:]))
     return Orbit(tuple(elements), frozenset(gens))
 
 
 def is_dominant(s: RootSystem, v, subset: Subset) -> bool:
     """True iff <v, alpha_i^v> >= 0 for every i in the subset."""
-    gens, state, _, _ = _start(s, v, subset)
+    gens, state, _ = _start(s, v, subset)
     return all(state[i] >= 0 for i in gens)
 
 
@@ -217,13 +203,13 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
     len(word) == |N(v)|, the least length of any w making v subset-dominant
     (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
     """
-    gens, state, rows, scale = _start(s, v, subset)
+    gens, state, rational = _start(s, v, subset)
     applied: list[int] = []
     for _ in range(len(s.positives) + 1):
         i = next((i for i in gens if state[i] < 0), None)
         if i is None:
             word = WeylWord(tuple(reversed(applied)))
-            return tuple(Fraction(x, scale) for x in state[s.rank:]), word
-        state = _step(state, state[i], rows[i])
+            return rational.vector(state[s.rank:]), word
+        state = _step(state, state[i], s._steps[i])
         applied.append(i)
     raise InvariantViolation("dominant reduction did not terminate")

@@ -59,6 +59,16 @@ MUTATIONS = {
         "t = sum(x * row[i] for x, row in zip(v, self.cartan))",
         "t = sum(x * row[0] for x, row in zip(v, self.cartan))",
         ["tests/test_classify.py"]),
+    "squared length without the symmetrizer": (
+        "core.py",
+        "sum(x * p * dj for x, p, dj in zip(c, ps, d))",
+        "sum(x * p for x, p, dj in zip(c, ps, d))",
+        ["tests/test_core.py"]),
+    "weights over t instead of t*den": (
+        "core.py",
+        "linalg.Rationals(t * self._den)",
+        "linalg.Rationals(t)",
+        ["tests/test_classify.py"]),
     "P3 walk started at +alpha_i": (
         "classify.py",
         "levi_walk(s, i, s.negation(s.simple_root_index(i)))",

@@ -2,7 +2,9 @@
 and the three-way equivalence report."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -24,6 +26,7 @@ from rootkit import (
     NotPositiveRoot,
     RootSystem,
     build_system,
+    closure_system,
     coroot,
     descent_blockers,
     dominant_rep,
@@ -482,3 +485,59 @@ class TestEnumerativeChecks:
                 if all(form_value(s.form, b, s.simples[j]) <= 0
                        for j in range(s.rank) if j != i):
                     assert form_value(s.form, b, alpha) > 0
+
+
+@cache
+def primal_report(name):
+    """verify_theorem on the canonical model, once per type for every law."""
+    return verify_theorem(get_system(name))
+
+
+def row_facts(row):
+    """A row's facts apart from its index, with the witness as its length."""
+    return (row.m, row.m_dual, row.special, row.cospecial, row.quasi_constant,
+            row.dom_eq_levi_dom, None if row.witness is None else len(row.witness))
+
+
+# Diagram automorphisms up to rank 8, as sigma[i]: the A_n flip, the D_n swap
+# of the last two nodes, D4's two triality 3-cycles (node 1 is the centre)
+# and the E6 flip.
+DIAGRAM_AUTOMORPHISMS = {
+    **{f"A{n}-flip": (f"A{n}", tuple(reversed(range(n)))) for n in range(2, 9)},
+    **{f"D{n}-swap": (f"D{n}", (*range(n - 2), n - 1, n - 2)) for n in range(4, 9)},
+    "D4-triality": ("D4", (2, 1, 3, 0)),
+    "D4-triality-inverse": ("D4", (3, 1, 0, 2)),
+    "E6-flip": ("E6", (5, 1, 4, 3, 2, 0)),
+}
+
+
+class TestMetamorphicLaws:
+    """The engine against itself, under maps that must preserve its answer."""
+
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_duality_law_on_rows(self, name):
+        # Duality swaps the two halves of P2; the theorem makes P1 and P3
+        # functions of P2, so they stay. Witness words may differ.
+        dual = verify_theorem(dual_system(get_system(name)))
+        assert dual.all_equivalent
+        for row, drow in zip(primal_report(name).rows, dual.rows, strict=True):
+            assert drow == replace(row, m=row.m_dual, m_dual=row.m,
+                                   special=row.cospecial, cospecial=row.special,
+                                   witness=drow.witness)
+
+    @pytest.mark.parametrize("label", list(DIAGRAM_AUTOMORPHISMS))
+    def test_diagram_automorphism_law(self, label):
+        name, sigma = DIAGRAM_AUTOMORPHISMS[label]
+        a = get_system(name).cartan
+        assert sorted(sigma) == list(range(len(a)))
+        assert all(a[sigma[i]][sigma[j]] == a[i][j]
+                   for i in range(len(a)) for j in range(len(a)))
+        rows = primal_report(name).rows
+        for i, row in enumerate(rows):
+            assert row_facts(rows[sigma[i]]) == row_facts(row)
+
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_change_of_model_law(self, name):
+        # The base-coefficient model has the same Cartan matrix, so the same
+        # integer tables: its rows, witness words included, are the same.
+        assert verify_theorem(closure_system(name)).rows == primal_report(name).rows

@@ -149,6 +149,11 @@ class TestExactEntries:
             _VECTOR_CALLS[call](get_system("A2"), v)
 
     @pytest.mark.parametrize("call", sorted(_VECTOR_CALLS))
+    def test_refuses_zero_denominator(self, call):
+        with pytest.raises(ValueError, match="entry '1/0' has a zero denominator"):
+            _VECTOR_CALLS[call](get_system("A2"), ("1/0", 0, 0))
+
+    @pytest.mark.parametrize("call", sorted(_VECTOR_CALLS))
     def test_accepts_ints_fractions_and_rational_strings(self, call):
         s = get_system("A2")
         expected = _VECTOR_CALLS[call](s, vec(1, -1, 0))
