@@ -1,12 +1,12 @@
 """Exact construction of reduced irreducible root systems.
 
-Every type has one construction path: ``RootSystem`` runs the breadth-first
-reflection closure of the base under the Cartan matrix, in integer base
-coefficients, and records each root's pairings and reflection images as it
-goes. Negation, heights, squared lengths, coroot coefficients, fundamental
-weights and the pairing and step rows of every Weyl reflection are read off
-those integer tables. Ambient coordinates are a rendering at the boundary:
-integer numerators over one denominator, made exact by ``linalg.Rationals``.
+Every type has one construction path, in integers end to end: ``RootSystem``
+checks the base's Gram matrix on integer numerators and runs the breadth-first
+reflection closure of the base, each root one integer state reached from its
+parent by one sparse ``linalg.step``. Negation, heights, squared lengths,
+coroot coefficients, fundamental weights and the pairing and step rows of
+every Weyl reflection are read off those integer tables. Ambient coordinates
+are a rendering at the boundary, made exact by ``linalg.Rationals``.
 The classical families A/B/C/D and G2 place each root at ``sum c_i *
 simple_i`` in their standard coordinates (type A and G2 in the sum-zero
 hyperplane of Q^n, types B/C/D in Q^n with the standard inner product) and
@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import BadIndex, InadmissibleRank, NonIntegralSolution, NotARoot, ParseError
-from .linalg import Vector, dot, mat_vec, vector
+from .linalg import Vector, dot, vector
 
 _FAMILIES = tuple("ABCDEFG")
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -157,18 +157,18 @@ class RootSystem:
     """Immutable bundle of roots, base, positives, form and index tables.
 
     Built by ``build_system``, ``closure_system`` or ``dual_system``. The
-    roots are the reflection closure of the base, as integer coefficient
-    tuples; every root's pairing with every simple coroot is computed once
-    and each reflection image recorded as an index, so the root set is
-    closed by construction. The pairings also give the squared lengths,
-    ``highest_index`` and ``highest_short_index``. A vector over the base
-    embeds through the integer columns ``_cols`` over ``_den``: the roots,
-    sorted on those numerators and rendered once by ``linalg.Rationals``,
-    and the fundamental weights, built on first use like the dual system.
-    Any vector pairs with the simple coroots through one integer table,
-    ``_pair_rows`` over ``_pair_den``; ``_steps[i]``, the nonzero (position,
-    value) entries of Cartan row i then den * simples[i], is the Weyl step
-    of weyl's integer state. Validated at construction time:
+    roots are the reflection closure of the base: a root's integer state is
+    its pairings with the simple coroots, its numerators over ``_den`` and
+    its base coefficients, and s_j subtracts the j-th pairing times sparse
+    row j (Cartan row j, den * simples[j], e_j) once the image's coefficients
+    prove new. Each image is recorded as an index, so the root set is closed
+    by construction. The pairings give the squared lengths, ``highest_index``
+    and ``highest_short_index``. ``_cols`` over ``_den`` embed the sorted
+    roots, rendered once by ``linalg.Rationals``, and the fundamental
+    weights, built on first use like the dual system. Any vector pairs with
+    the simple coroots through ``_pair_rows`` over ``_pair_den``, read off
+    the integer Gram matrix; ``_steps[i]``, row i without its e_i, is the
+    Weyl step of weyl's integer state. Validated at construction time:
 
     - the form is symmetric;
     - the ambient Gram matrix of the base is one positive scale times
@@ -191,60 +191,70 @@ class RootSystem:
             raise ValueError("form is not symmetric")
         self.cartan = a = tuple(tuple(int(x) for x in row) for row in cartan)
 
-        # The base's Gram matrix is one positive scale times A[i][j] * d_j.
+        # The form is fnum / fden and simple i is num[i] / den, so the base's
+        # Gram matrix, gram / (fden * den^2), must be scale * A[i][j] * d_j
+        # with scale > 0.
         d = symmetrizer(a)
-        gsimple = tuple(mat_vec(self.form, s) for s in self.simples)
-        gram = [[dot(s, g) for g in gsimple] for s in self.simples]
-        scale = gram[0][0] / (2 * d[0])
-        if scale <= 0 or any(gram[i][j] != scale * a[i][j] * d[j]
-                             for i in range(n) for j in range(n)):
+        self._den = den = lcm(*(x.denominator for v in self.simples for x in v))
+        fden = lcm(*(x.denominator for row in self.form for x in row))
+        num = [[int(x * den) for x in v] for v in self.simples]
+        fnum = [[int(x * fden) for x in row] for row in self.form]
+        gsimple = [[sum(f * x for f, x in zip(row, v)) for row in fnum] for v in num]
+        gram = [[sum(x * y for x, y in zip(u, g)) for g in gsimple] for u in num]
+        if gram[0][0] <= 0 or any(2 * d[0] * gram[i][j] != gram[0][0] * a[i][j] * d[j]
+                                  for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix of the base is not a positive "
                              "multiple of the symmetrized Cartan matrix")
+        scale = Fraction(gram[0][0], 2 * d[0] * fden * den * den)
 
-        # Breadth-first closure of the base in integer base coefficients.
-        # Each root's pairings <beta, alpha_j^v> = sum_k c_k A[k][j] are
-        # computed once; s_j lowers c_j by the j-th of them, and every image
-        # is recorded as an index when it is found.
-        coeffs = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        found = {c: k for k, c in enumerate(coeffs)}
-        pairings, images = [], []
-        for c in coeffs:  # the list grows while it is walked
-            p = tuple(sum(x * row[j] for x, row in zip(c, a) if x) for j in range(n))
+        # Breadth-first closure. State: pairings p_j = sum_k c_k A[k][j], den *
+        # root, base coefficients c. s_j subtracts p_j times row j, so simples[j]
+        # has state row j; with p_j == 0 it fixes the root, else only the key c
+        # of the image is built until it turns out to be new.
+        self._cols = cols = tuple(zip(*num))
+        w = n + self.dim  # where the coefficients start
+        rows = [a[j] + tuple(col[j] for col in cols) + tuple(int(k == j) for k in range(n))
+                for j in range(n)]
+        sparse = [tuple((p, x) for p, x in enumerate(row) if x) for row in rows]
+        found = {row[w:]: k for k, row in enumerate(rows)}
+        states, images = rows, []
+        for k, st in enumerate(states):  # the list grows while it is walked
             image = []
-            for j in range(n):
-                w = c[:j] + (c[j] - p[j],) + c[j + 1:]
-                if w not in found:
-                    found[w] = len(coeffs)
-                    coeffs.append(w)
-                image.append(found[w])
-            pairings.append(p)
+            for j, p in enumerate(st[:n]):
+                if not p:
+                    image.append(k)
+                    continue
+                c = st[w:w + j] + (st[w + j] - p,) + st[w + j + 1:]
+                if c not in found:
+                    found[c] = len(states)
+                    states.append(tuple(linalg.step(st, p, sparse[j])))
+                image.append(found[c])
             images.append(image)
             # A finite type has rank * Coxeter number <= 4 * rank^2 roots.
-            if len(coeffs) > 4 * n * n:
+            if len(states) > 4 * n * n:
                 raise ValueError("reflection closure did not terminate")
+        # weyl's state is the closure state without the coefficients, so its
+        # step row i is row i without its last entry, e_i.
+        self._steps = tuple(row[:-1] for row in sparse)
 
-        # Ambient root: sum c_i * simples[i], as integer numerators over the
-        # common denominator den > 0 of the simple roots' coordinates.
-        self._den = den = lcm(*(x.denominator for v in self.simples for x in v))
-        self._cols = cols = tuple(zip(*[[int(x * den) for x in v] for v in self.simples]))
         keys = []
-        for c in coeffs:
+        for st in states:
+            c = st[w:]
             if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
                 raise ValueError(f"{c} has mixed-sign base coefficients")
             if not any(c):
                 raise ValueError("zero vector in root set")
-            keys.append((sum(abs(x) for x in c),
-                         tuple(sum(ci * x for ci, x in zip(c, col)) for col in cols)))
+            keys.append((sum(map(abs, c)), st[n:w]))
         # Sort by height, then numerators (the vectors' order); at[k] is
         # root k's new index. Each vector is built once, after the sort.
-        order = sorted(range(len(coeffs)), key=keys.__getitem__)
+        order = sorted(range(len(states)), key=keys.__getitem__)
         at = {old: new for new, old in enumerate(order)}
         rational = linalg.Rationals(den)
         self.roots = tuple(rational.vector(keys[k][1]) for k in order)
-        self._coeffs = tuple(coeffs[k] for k in order)
+        self._coeffs = tuple(states[k][w:] for k in order)
         self._simple_index = tuple(at[i] for i in range(n))
         self._is_positive = tuple(sum(c) > 0 for c in self._coeffs)
-        self._simple_pairings = tuple(pairings[k] for k in order)
+        self._simple_pairings = tuple(states[k][:n] for k in order)
         self._refl_table = tuple(tuple(at[images[k][i]] for k in order)
                                  for i in range(n))
         self._index = {beta: k for k, beta in enumerate(self.roots)}
@@ -254,7 +264,7 @@ class RootSystem:
         if None in neg:
             raise ValueError("root set is not symmetric")
         self._neg = tuple(at[k] for k in neg)
-        if any(tuple(2 * x for x in c) in found for c in coeffs):
+        if any(tuple(2 * x for x in c) in found for c in found):
             raise ValueError("system is not reduced")
 
         # (beta, beta) = scale * norm, norm = sum_j c_j <beta, alpha_j^v> d_j.
@@ -262,20 +272,18 @@ class RootSystem:
                       for c, ps in zip(self._coeffs, self._simple_pairings))
         if any(q <= 0 for q in norms):
             raise ValueError("form not positive on a root")
-        if len(set(norms)) > 2:
+        sq = {q: scale * q for q in set(norms)}
+        if len(sq) > 2:
             raise ValueError("more than two root lengths")
-        self._sq = tuple(scale * q for q in norms)
-        self.max_sq_length = max(self._sq)
-        self.min_sq_length = min(self._sq)
+        self._sq = tuple(map(sq.__getitem__, norms))
+        self.max_sq_length, self.min_sq_length = sq[max(sq)], sq[min(sq)]
 
-        # Integer pairing rows: <v, alpha_i^v> = (_pair_rows[i] . v) / _pair_den.
-        funcs = [[2 / gram[i][i] * x for x in g] for i, g in enumerate(gsimple)]
-        self._pair_den = pden = lcm(*(x.denominator for f in funcs for x in f))
-        self._pair_rows = tuple(tuple(x.numerator * (pden // x.denominator) for x in f)
-                                for f in funcs)
-        # Sparse step row i: the nonzero entries of Cartan row i, then den * alpha_i.
-        steps = [a[i] + tuple(col[i] for col in cols) for i in range(n)]
-        self._steps = tuple(tuple((p, x) for p, x in enumerate(row) if x) for row in steps)
+        # Integer pairing rows: <v, alpha_i^v> = 2 (v, alpha_i) / (alpha_i,
+        # alpha_i) = 2 * den * (gsimple[i] . v) / gram[i][i] = (_pair_rows[i]
+        # . v) / _pair_den, _pair_den the lcm of the reduced denominators.
+        pairs = [(g, gram[i][i]) for i, g in enumerate(gsimple)]
+        self._pair_den = pden = lcm(*(q // gcd(2 * den * x, q) for g, q in pairs for x in g))
+        self._pair_rows = tuple(tuple(2 * den * x * pden // q for x in g) for g, q in pairs)
 
         # Dual coefficients: beta^v = sum c_i alpha_i^v with
         # c_i = m_i (alpha_i, alpha_i) / (beta, beta) = m_i * 2 d_i / norm.
@@ -288,8 +296,8 @@ class RootSystem:
         # The dominant roots are the positive roots pairing >= 0 with every
         # simple coroot: the highest root and the highest short root.
         dominant = [[k for k, p in enumerate(self._simple_pairings)
-                     if self._is_positive[k] and min(p) >= 0 and self._sq[k] == q]
-                    for q in (self.max_sq_length, self.min_sq_length)]
+                     if self._is_positive[k] and min(p) >= 0 and norms[k] == q]
+                    for q in (max(sq), min(sq))]
         if any(len(ks) != 1 for ks in dominant):
             raise ValueError("not exactly one dominant root per root length")
         [self.highest_index], [self.highest_short_index] = dominant

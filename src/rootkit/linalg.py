@@ -2,6 +2,7 @@
 
 Vectors are tuples of ``fractions.Fraction``. ``vector`` alone decides what
 a caller's vector is, so no floating point enters; there is no solver.
+``step`` is the one sparse integer step of the closure and of ``weyl``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 def form_value(form: Matrix, u: Vector, v: Vector) -> Fraction:
     """Evaluate the bilinear form with Gram matrix ``form`` on (u, v)."""
     return dot(u, mat_vec(form, v))
+
+
+def step(state, c: int, row) -> list[int]:
+    """A copy of an integer state minus c times a sparse (position, value) row."""
+    state = list(state)
+    for p, x in row:
+        state[p] -= c * x
+    return state
 
 
 def transpose(m: Matrix) -> Matrix:

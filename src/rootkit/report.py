@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 from .classify import TheoremReport
 from .core import RootSystem
-from .linalg import vector_strs
+from .linalg import vector, vector_strs
 
 SCHEMA_VERSION = "1"
 
@@ -109,10 +109,10 @@ def _parse(cls, data):
                              f"not {SCHEMA_VERSION!r}")
         if f.type == "tuple[str, ...]":
             try:
-                x = vector_strs(x)
-            except (ValueError, ZeroDivisionError):
+                x = vector_strs(vector(x))
+            except ValueError as err:
                 raise ValueError(f"{cls.__name__}: field {f.name!r} is not a "
-                                 f"list of rationals: {x!r}") from None
+                                 f"list of rationals: {x!r} ({err})") from None
         elif f.type == "tuple[ReportRow, ...]":
             x = tuple(_parse(ReportRow, r) for r in x)
         elif isinstance(x, list):

@@ -4,7 +4,7 @@ Orbits and dominant reduction work for the full base as well as for any
 subset of simple indices (in particular the maximal-Levi subsets obtained
 by deleting one index). Every operation on a caller's vector enters
 ``_start``, which checks the generators, coerces the vector once and returns
-its integer state from the pairing rows. ``_step`` by a sparse step row
+its integer state from the pairing rows. ``linalg.step`` by a sparse step row
 updates the pairings and reflects the coordinates at its nonzero positions.
 ``orbit`` keys each step on the packed pairings, builds a state only for an
 unseen conjugate and holds only the seen keys, the unexpanded states and the
@@ -22,7 +22,7 @@ from operator import mul
 
 from .core import RootSystem
 from .errors import BadIndex, InvariantViolation
-from .linalg import Rationals, Vector, vector
+from .linalg import Rationals, Vector, step, vector
 
 Subset = Iterable[int]
 
@@ -133,21 +133,13 @@ def _pairing_bound(s: RootSystem, lam) -> int:
     return sum(hk * abs(x) for hk, x in zip(h, lam))
 
 
-def _step(state, c, row) -> list[int]:
-    """A copy of the state minus c times the sparse step row."""
-    state = list(state)
-    for p, x in row:
-        state[p] -= c * x
-    return state
-
-
 def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
     """v, then the vector reached after each letter of the word, last letter
     first: one integer step of v's state per letter."""
     _, state, rational = _start(s, v, word.letters)
     out = [rational.vector(state[s.rank:])]
     for i in reversed(word.letters):
-        state = _step(state, state[i], s._steps[i])
+        state = step(state, state[i], s._steps[i])
         out.append(rational.vector(state[s.rank:]))
     return out
 
@@ -180,7 +172,7 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
             new = key - c * packed[i]
             if new not in seen:
                 seen.add(new)
-                state_new = _step(state, c, s._steps[i])
+                state_new = step(state, c, s._steps[i])
                 queue.append((new, state_new))
                 elements.append(rational.vector(state_new[n:]))
     return Orbit(tuple(elements), frozenset(gens))
@@ -210,6 +202,6 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
         if i is None:
             word = WeylWord(tuple(reversed(applied)))
             return rational.vector(state[s.rank:]), word
-        state = _step(state, state[i], s._steps[i])
+        state = step(state, state[i], s._steps[i])
         applied.append(i)
     raise InvariantViolation("dominant reduction did not terminate")

@@ -36,13 +36,18 @@ MUTATIONS = {
         ["tests/test_core.py"]),
     "pairing table transposed": (
         "core.py",
-        "sum(x * row[j] for x, row in zip(c, a) if x)",
-        "sum(x * a[j][k] for k, x in enumerate(c) if x)",
+        "rows = [a[j] + tuple(col[j] for col in cols)",
+        "rows = [tuple(row[j] for row in a) + tuple(col[j] for col in cols)",
+        ["tests/test_core.py"]),
+    "Gram check on the diagonal only": (
+        "core.py",
+        "for i in range(n) for j in range(n))",
+        "for i in range(n) for j in (i,))",
         ["tests/test_core.py"]),
     "pairing table in closure order": (
         "core.py",
-        "self._simple_pairings = tuple(pairings[k] for k in order)",
-        "self._simple_pairings = tuple(pairings)",
+        "self._simple_pairings = tuple(states[k][:n] for k in order)",
+        "self._simple_pairings = tuple(st[:n] for st in states)",
         ["tests/test_core.py"]),
     "highest and short roots swapped": (
         "core.py",
@@ -151,8 +156,9 @@ MUTATIONS = {
         ["tests/test_witness.py"]),
     "step rows' coordinates doubled": (
         "core.py",
-        "steps = [a[i] + tuple(col[i] for col in cols)",
-        "steps = [a[i] + tuple(2 * col[i] for col in cols)",
+        "self._steps = tuple(row[:-1] for row in sparse)",
+        "self._steps = tuple(tuple((p, x * (1 + (p >= n))) for p, x in row[:-1])"
+        " for row in sparse)",
         ["tests/test_weyl.py"]),
     "orbit pops the newest state": (
         "weyl.py",

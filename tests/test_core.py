@@ -344,6 +344,46 @@ def test_rejects_cartan_matrix_of_another_base(name, cartan):
         RootSystem(s.ctype, s.simples, s.form, cartan)
 
 
+def _tables(s):
+    return {k: v for k, v in vars(s).items() if k != "dual"}
+
+
+def test_construction_stays_on_integers(monkeypatch):
+    """Construction makes no Fraction dot product: with linalg.dot and
+    linalg.mat_vec failing, every model and dual builds the same tables."""
+    import rootkit.core as core
+    import rootkit.linalg as linalg
+
+    def makers():
+        for name in type_names(8):
+            for s in (core.build_system(name), core.closure_system(name)):
+                yield s
+                yield s.dual
+
+    want = [_tables(s) for s in makers()]
+
+    def fail(*args):
+        raise AssertionError("Fraction arithmetic in construction")
+
+    for module, name in [(linalg, "dot"), (linalg, "mat_vec"), (core, "dot"),
+                         (core, "mat_vec")]:
+        monkeypatch.setattr(module, name, fail, raising=False)
+    assert [_tables(s) for s in makers()] == want
+
+
+@pytest.mark.parametrize("name", type_names(8))
+def test_form_over_a_denominator(name):
+    """The form enters over one denominator; no built system has one other
+    than 1, so scale it by 1/3: every integer table stays, the lengths scale."""
+    s = get_system(name)
+    t = RootSystem(s.ctype, s.simples, [[x / 3 for x in row] for row in s.form],
+                   s.cartan)
+    for attr in ("_coeffs", "_simple_pairings", "_refl_table", "_dual_coeffs",
+                 "_pair_rows", "_pair_den"):
+        assert getattr(t, attr) == getattr(s, attr), attr
+    assert t._sq == tuple(q / 3 for q in s._sq)
+
+
 def test_closure_of_affine_cartan_matrix_stops():
     # The affine A1 matrix passes the Gram check on a line: alpha_1 = -alpha_0.
     with pytest.raises(ValueError, match="did not terminate"):

@@ -152,6 +152,10 @@ class TestStrictParsing:
         with pytest.raises(ValueError, match=repr(path[-1])):
             from_json(_edited(path, value))
 
+    def test_zero_denominator_reason_named(self):
+        with pytest.raises(ValueError, match="'highest_root'.*zero denominator"):
+            from_json(_edited(("highest_root", ), ["1/0", "0", "0"]))
+
     @pytest.mark.parametrize("path, value", [
         (("ctype", ), 2),
         (("schema_version", ), 1),
