@@ -57,14 +57,12 @@ class TheoremReport:
     all_equivalent: bool
     highest_root: Vector
     highest_short: Vector
-    heights: dict[Vector, int]
 
 
 def multiplicities(s: RootSystem, beta) -> MultiplicityProfile:
     """Exact expression of beta over the base and beta^v over the dual base."""
     idx = s.index(beta)
-    return MultiplicityProfile(s.base_coefficients(idx),
-                               s.dual_base_coefficients(idx))
+    return MultiplicityProfile(s.coeffs[idx], s.dual_coeffs[idx])
 
 
 def highest_roots(s: RootSystem) -> tuple[Vector, Vector]:
@@ -82,19 +80,19 @@ def height(s: RootSystem, beta) -> int:
     if not s.is_positive_root(beta):
         raise NotPositiveRoot(
             f"{vector_str(beta)} is not a positive root of {s.ctype}")
-    return s.height_of_index(s.index(beta))
+    return s.heights[s.index(beta)]
 
 
 def is_special(s: RootSystem, i: int) -> bool:
     """Multiplicity of alpha_i in the highest root equals 1."""
     s.check_simple_index(i)
-    return s.base_coefficients(s.highest_index)[i] == 1
+    return s.coeffs[s.highest_index][i] == 1
 
 
 def is_cospecial(s: RootSystem, i: int) -> bool:
     """Multiplicity of alpha_i^v in the highest coroot equals 1."""
     s.check_simple_index(i)
-    return s.dual_base_coefficients(s.highest_short_index)[i] == 1
+    return s.dual_coeffs[s.highest_short_index][i] == 1
 
 
 def fundamental_weight(s: RootSystem, i: int) -> Vector:
@@ -120,22 +118,22 @@ def is_quasi_constant(s: RootSystem, chi) -> bool:
     chi = vector(chi, s.dim)
     classes: dict[Fraction, set[Fraction]] = {}
     for idx, beta in enumerate(s.roots):
-        if not s.is_positive_index(idx):
+        if s.heights[idx] < 0:
             continue  # -beta gives -value, in the same length class
-        value = 2 * linalg.form_value(s.form, chi, beta) / s.sq_length(idx)
+        value = 2 * linalg.form_value(s.form, chi, beta) / s.sq_lengths[idx]
         if value != 0:
-            classes.setdefault(s.sq_length(idx), set()).add(abs(value))
+            classes.setdefault(s.sq_lengths[idx], set()).add(abs(value))
     return all(len(vals) == 1 for vals in classes.values())
 
 
 def theorem_row(s: RootSystem, i: int) -> ClassificationRow:
     """All per-simple-root facts plus the witness word when P3 holds."""
     s.check_simple_index(i)
-    m = s.base_coefficients(s.highest_index)[i]
-    m_dual = s.dual_base_coefficients(s.highest_short_index)[i]
+    m = s.coeffs[s.highest_index][i]
+    m_dual = s.dual_coeffs[s.highest_short_index][i]
     quasi = is_quasi_constant(s, fundamental_weight(s, i))
-    letters, low = levi_walk(s, i, s.negation(s.simple_root_index(i)))
-    p3 = max(s.simple_pairings(low)) <= 0
+    letters, low = levi_walk(s, i, s.negations[s.simple_indices[i]])
+    p3 = max(s.pairings[low]) <= 0
     return ClassificationRow(
         simple_index=i,
         m=m,
@@ -160,7 +158,6 @@ def verify_theorem(s: RootSystem) -> TheoremReport:
         all_equivalent=ok,
         highest_root=top,
         highest_short=top_short,
-        heights=s.heights,
     )
 
 
@@ -170,7 +167,7 @@ def verify_theorem(s: RootSystem) -> TheoremReport:
 def descent_letter(s: RootSystem, i: int, idx: int) -> int | None:
     """First j != i with <roots[idx], alpha_j^v> > 0, the witness descent's
     next letter; None where the descent stalls."""
-    return next((j for j, p in enumerate(s.simple_pairings(idx))
+    return next((j for j, p in enumerate(s.pairings[idx])
                  if j != i and p > 0), None)
 
 
@@ -180,10 +177,10 @@ def levi_walk(s: RootSystem, i: int, idx: int) -> tuple[list[int], int]:
     lower the height and keep the alpha_i coefficient."""
     letters: list[int] = []
     while (j := descent_letter(s, i, idx)) is not None:
-        nxt = s.reflect_root_index(j, idx)
-        if s.height_of_index(nxt) >= s.height_of_index(idx):
+        nxt = s.reflections[j][idx]
+        if s.heights[nxt] >= s.heights[idx]:
             raise InvariantViolation(f"s_{j} did not lower the height")
-        if s.base_coefficients(nxt)[i] != s.base_coefficients(idx)[i]:
+        if s.coeffs[nxt][i] != s.coeffs[idx][i]:
             raise InvariantViolation(f"s_{j} changed the alpha_{i} coefficient")
         letters.append(j)
         idx = nxt
@@ -197,11 +194,11 @@ def descent_blockers(s: RootSystem, i: int) -> list[Vector]:
     exist; any returned vector is a counterexample.
     """
     s.check_simple_index(i)
-    simple = s.simple_root_index(i)
+    simple = s.simple_indices[i]
     return [beta for idx, beta in enumerate(s.roots)
-            if s.is_positive_index(idx) and idx != simple
-            and s.sq_length(idx) == s.max_sq_length
-            and s.base_coefficients(idx)[i] <= 1
+            if s.heights[idx] > 0 and idx != simple
+            and s.sq_lengths[idx] == s.max_sq_length
+            and s.coeffs[idx][i] <= 1
             and descent_letter(s, i, idx) is None]
 
 
@@ -215,9 +212,9 @@ def levi_orbit_multiplicity_violations(s: RootSystem) -> list[tuple[int, Vector,
     for i in range(s.rank):
         gens = [j for j in range(s.rank) if j != i]
         for k, beta in enumerate(s.roots):
-            want = s.base_coefficients(k)[i]
+            want = s.coeffs[k][i]
             for j in gens:
-                nxt = s.reflect_root_index(j, k)
-                if s.base_coefficients(nxt)[i] != want:
+                nxt = s.reflections[j][k]
+                if s.coeffs[nxt][i] != want:
                     out.append((i, beta, s.roots[nxt]))
     return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -34,8 +33,6 @@ from .errors import (
 from .linalg import vector_str, vector_strs
 from .witness import dominant_witness
 
-ENV_MAX_RANK = "ROOTKIT_MAX_RANK"
-
 
 class OutputError(Exception):
     """The --out file cannot be written; a usage error (exit 2)."""
@@ -56,8 +53,7 @@ def _write(text: str, out_path: str | None) -> None:
 def cmd_describe(args) -> tuple[str, int]:
     s = build_system(CartanType.parse(args.ctype))
     top, top_short = highest_roots(s)
-    heights = {k: s.height_of_index(k) for k in range(len(s.roots))
-               if s.is_positive_index(k)}
+    heights = {k: h for k, h in enumerate(s.heights) if h > 0}
     if args.format == "json":
         payload = {
             "schema_version": report_mod.SCHEMA_VERSION,
@@ -113,16 +109,9 @@ def cmd_verify(args) -> tuple[str, int]:
         except (ParseError, InadmissibleRank) as exc:
             args.parser.error(str(exc))
     else:
-        max_rank, source = args.max_rank, "--max-rank"
-        if max_rank is None:
-            raw = os.environ.get(ENV_MAX_RANK, "8")
-            source = f"{ENV_MAX_RANK}={raw!r}"
-            try:
-                max_rank = int(raw)
-            except ValueError:
-                args.parser.error(f"{source} is not an integer")
+        max_rank = 8 if args.max_rank is None else args.max_rank
         if max_rank < 1:
-            args.parser.error(f"{source} must be >= 1")
+            args.parser.error("--max-rank must be >= 1")
         types = admissible_types(max_rank)
 
     lines = []
@@ -195,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "and the orbit/multiplicity properties")
     scope = p.add_mutually_exclusive_group()
     scope.add_argument("--max-rank", type=int, default=None,
-                       help=f"check all admissible types up to this rank "
-                            f"(default: ${ENV_MAX_RANK} or 8)")
+                       help="check all admissible types up to this rank "
+                            "(default: 8)")
     scope.add_argument("--types", default=None,
                        help="comma-separated explicit type list, e.g. G2,B3")
     p.add_argument("--out", default=None)

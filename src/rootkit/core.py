@@ -3,10 +3,10 @@
 Every type has one construction path, in integers end to end: ``RootSystem``
 checks the base's Gram matrix on integer numerators and runs the breadth-first
 reflection closure of the base, each root one integer state reached from its
-parent by one sparse ``linalg.step``. Negation, heights, squared lengths,
-coroot coefficients, fundamental weights and the pairing and step rows of
-every Weyl reflection are read off those integer tables. Ambient coordinates
-are a rendering at the boundary, made exact by ``linalg.Rationals``.
+parent by one sparse ``linalg.step``. The system is its integer tables,
+public tuples indexed by root; a caller's vector enters once, by
+``RootSystem.state``. Ambient coordinates are a rendering at the boundary,
+made exact by ``linalg.Rationals``.
 The classical families A/B/C/D and G2 place each root at ``sum c_i *
 simple_i`` in their standard coordinates (type A and G2 in the sum-zero
 hyperplane of Q^n, types B/C/D in Q^n with the standard inner product) and
@@ -28,10 +28,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import BadIndex, InadmissibleRank, NonIntegralSolution, NotARoot, ParseError
-from .linalg import Vector, dot, vector
+from .linalg import Vector, vector
 
 _FAMILIES = tuple("ABCDEFG")
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -154,7 +155,7 @@ class LengthClass(Enum):
 
 
 class RootSystem:
-    """Immutable bundle of roots, base, positives, form and index tables.
+    """Immutable bundle of roots, base, form and integer tables.
 
     Built by ``build_system``, ``closure_system`` or ``dual_system``. The
     roots are the reflection closure of the base: a root's integer state is
@@ -162,13 +163,15 @@ class RootSystem:
     its base coefficients, and s_j subtracts the j-th pairing times sparse
     row j (Cartan row j, den * simples[j], e_j) once the image's coefficients
     prove new. Each image is recorded as an index, so the root set is closed
-    by construction. The pairings give the squared lengths, ``highest_index``
-    and ``highest_short_index``. ``_cols`` over ``_den`` embed the sorted
-    roots, rendered once by ``linalg.Rationals``, and the fundamental
-    weights, built on first use like the dual system. Any vector pairs with
-    the simple coroots through ``_pair_rows`` over ``_pair_den``, read off
-    the integer Gram matrix; ``_steps[i]``, row i without its e_i, is the
-    Weyl step of weyl's integer state. Validated at construction time:
+    by construction. The tables are tuples indexed by root: ``coeffs``,
+    ``dual_coeffs`` (over the simple coroots), signed ``heights`` (> 0 iff
+    positive), ``pairings[idx][j]`` = <roots[idx], alpha_j^v>,
+    ``negations``, ``sq_lengths`` and ``reflections[i][idx]``, the index of
+    s_i(roots[idx]); ``simple_indices[i]`` is the index of alpha_i.
+    ``state(v)`` is a caller's vector in integers, and
+    ``steps[i]``, row i without its e_i, steps it to s_i(v). ``_cols`` over
+    ``_den`` embed the roots and the fundamental weights; the weights, like
+    the dual system, are built on first use. Validated at construction time:
 
     - the form is symmetric;
     - the ambient Gram matrix of the base is one positive scale times
@@ -233,9 +236,9 @@ class RootSystem:
             # A finite type has rank * Coxeter number <= 4 * rank^2 roots.
             if len(states) > 4 * n * n:
                 raise ValueError("reflection closure did not terminate")
-        # weyl's state is the closure state without the coefficients, so its
-        # step row i is row i without its last entry, e_i.
-        self._steps = tuple(row[:-1] for row in sparse)
+        # A caller's state is the closure state without the coefficients, so
+        # its step row i is row i without its last entry, e_i.
+        self.steps = tuple(row[:-1] for row in sparse)
 
         keys = []
         for st in states:
@@ -251,31 +254,31 @@ class RootSystem:
         at = {old: new for new, old in enumerate(order)}
         rational = linalg.Rationals(den)
         self.roots = tuple(rational.vector(keys[k][1]) for k in order)
-        self._coeffs = tuple(states[k][w:] for k in order)
-        self._simple_index = tuple(at[i] for i in range(n))
-        self._is_positive = tuple(sum(c) > 0 for c in self._coeffs)
-        self._simple_pairings = tuple(states[k][:n] for k in order)
-        self._refl_table = tuple(tuple(at[images[k][i]] for k in order)
+        self.coeffs = tuple(states[k][w:] for k in order)
+        self.heights = tuple(map(sum, self.coeffs))
+        self.simple_indices = tuple(at[i] for i in range(n))
+        self.pairings = tuple(states[k][:n] for k in order)
+        self.reflections = tuple(tuple(at[images[k][i]] for k in order)
                                  for i in range(n))
         self._index = {beta: k for k, beta in enumerate(self.roots)}
-        self.positives = tuple(r for r, p in zip(self.roots, self._is_positive) if p)
+        self.positives = tuple(r for r, h in zip(self.roots, self.heights) if h > 0)
 
-        neg = [found.get(tuple(-x for x in c)) for c in self._coeffs]
+        neg = [found.get(tuple(-x for x in c)) for c in self.coeffs]
         if None in neg:
             raise ValueError("root set is not symmetric")
-        self._neg = tuple(at[k] for k in neg)
+        self.negations = tuple(at[k] for k in neg)
         if any(tuple(2 * x for x in c) in found for c in found):
             raise ValueError("system is not reduced")
 
         # (beta, beta) = scale * norm, norm = sum_j c_j <beta, alpha_j^v> d_j.
         norms = tuple(sum(x * p * dj for x, p, dj in zip(c, ps, d))
-                      for c, ps in zip(self._coeffs, self._simple_pairings))
+                      for c, ps in zip(self.coeffs, self.pairings))
         if any(q <= 0 for q in norms):
             raise ValueError("form not positive on a root")
         sq = {q: scale * q for q in set(norms)}
         if len(sq) > 2:
             raise ValueError("more than two root lengths")
-        self._sq = tuple(map(sq.__getitem__, norms))
+        self.sq_lengths = tuple(map(sq.__getitem__, norms))
         self.max_sq_length, self.min_sq_length = sq[max(sq)], sq[min(sq)]
 
         # Integer pairing rows: <v, alpha_i^v> = 2 (v, alpha_i) / (alpha_i,
@@ -288,15 +291,15 @@ class RootSystem:
         # Dual coefficients: beta^v = sum c_i alpha_i^v with
         # c_i = m_i (alpha_i, alpha_i) / (beta, beta) = m_i * 2 d_i / norm.
         nums = [(tuple(2 * m * di for m, di in zip(c, d)), q)
-                for c, q in zip(self._coeffs, norms)]
+                for c, q in zip(self.coeffs, norms)]
         if any(x % q for row, q in nums for x in row):
             raise NonIntegralSolution("non-integer coroot coefficient")
-        self._dual_coeffs = tuple(tuple(x // q for x in row) for row, q in nums)
+        self.dual_coeffs = tuple(tuple(x // q for x in row) for row, q in nums)
 
         # The dominant roots are the positive roots pairing >= 0 with every
         # simple coroot: the highest root and the highest short root.
-        dominant = [[k for k, p in enumerate(self._simple_pairings)
-                     if self._is_positive[k] and min(p) >= 0 and norms[k] == q]
+        dominant = [[k for k, p in enumerate(self.pairings)
+                     if self.heights[k] > 0 and min(p) >= 0 and norms[k] == q]
                     for q in (max(sq), min(sq))]
         if any(len(ks) != 1 for ks in dominant):
             raise ValueError("not exactly one dominant root per root length")
@@ -316,56 +319,35 @@ class RootSystem:
 
     def is_positive_root(self, v) -> bool:
         k = self._index.get(vector(v))
-        return k is not None and self._is_positive[k]
-
-    def negation(self, idx: int) -> int:
-        """Index of -roots[idx]."""
-        return self._neg[idx]
+        return k is not None and self.heights[k] > 0
 
     def check_simple_index(self, i: int) -> int:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.rank:
             raise BadIndex(f"simple index {i!r} out of range 0..{self.rank - 1}")
         return i
 
-    def simple_root_index(self, i: int) -> int:
-        return self._simple_index[i]
+    def state(self, v) -> tuple[tuple[int, ...], linalg.Rationals]:
+        """v's integer state and the Rationals that render its coordinates.
+        With v = num/q, q its entries' common denominator, and t = _pair_den *
+        den, the state is _pair_den*q*<v, alpha_j^v> for every j, then t*num,
+        over t*q; linalg.step(state, state[i], steps[i]) is that of s_i(v)."""
+        v = vector(v, self.dim)
+        q = lcm(*(x.denominator for x in v))
+        num = [x.numerator * (q // x.denominator) for x in v]
+        t = self._pair_den * self._den
+        state = (tuple(sum(map(mul, row, num)) for row in self._pair_rows)
+                 + tuple(t * x for x in num))
+        return state, linalg.Rationals(t * q)
 
-    def is_positive_index(self, idx: int) -> bool:
-        return self._is_positive[idx]
-
-    def base_coefficients(self, idx: int) -> tuple[int, ...]:
-        return self._coeffs[idx]
-
-    def dual_base_coefficients(self, idx: int) -> tuple[int, ...]:
-        return self._dual_coeffs[idx]
-
-    def height_of_index(self, idx: int) -> int:
-        return sum(self._coeffs[idx])
-
-    def sq_length(self, idx: int) -> Fraction:
-        return self._sq[idx]
+    def pair_simple(self, v, i: int) -> Fraction:
+        """<v, alpha_i^v>, exact, read on v's state."""
+        i = self.check_simple_index(i)
+        state, rational = self.state(v)
+        return rational[state[i] * self._den]
 
     @property
     def is_simply_laced(self) -> bool:
         return self.max_sq_length == self.min_sq_length
-
-    def pair_simple(self, v: Vector, i: int) -> Fraction:
-        """<v, alpha_i^v>, exact, read on the integer pairing row i."""
-        row = self._pair_rows[self.check_simple_index(i)]
-        return dot(row, vector(v, self.dim)) / self._pair_den
-
-    def simple_pairings(self, idx: int) -> tuple[int, ...]:
-        """<roots[idx], alpha_j^v> for every simple index j, as integers."""
-        return self._simple_pairings[idx]
-
-    def reflect_root_index(self, i: int, idx: int) -> int:
-        """Image of root idx under the i-th simple reflection, as an index."""
-        return self._refl_table[i][idx]
-
-    @property
-    def heights(self) -> dict[Vector, int]:
-        """Height of every positive root."""
-        return {r: sum(c) for r, c in zip(self.roots, self._coeffs) if sum(c) > 0}
 
     @cached_property
     def dual(self) -> "RootSystem":
@@ -385,7 +367,7 @@ class RootSystem:
         alpha_i^v>; the integer columns embed it over t * den.
         """
         pos = [(dc, c) for dc, c, p in
-               zip(self._dual_coeffs, self._coeffs, self._is_positive) if p]
+               zip(self.dual_coeffs, self.coeffs, self.heights) if p > 0]
         weights = []
         for i in range(self.rank):
             v = [sum(dc[i] * c[j] for dc, c in pos) for j in range(self.rank)]
@@ -494,14 +476,14 @@ def closure_system(ctype: CartanType | str) -> RootSystem:
 def coroot(s: RootSystem, beta) -> Vector:
     """The coroot 2*beta/(beta, beta)."""
     idx = s.index(beta)
-    return tuple(2 * x / s.sq_length(idx) for x in s.roots[idx])
+    return tuple(2 * x / s.sq_lengths[idx] for x in s.roots[idx])
 
 
 def pairing(s: RootSystem, chi, beta) -> Fraction:
     """<chi, beta^v> = sum_j c_j <chi, alpha_j^v>, c = beta's dual coefficients."""
-    dual = s.dual_base_coefficients(s.index(beta))
-    chi = vector(chi, s.dim)
-    return sum(c * s.pair_simple(chi, j) for j, c in enumerate(dual))
+    dual = s.dual_coeffs[s.index(beta)]
+    state, rational = s.state(chi)
+    return rational[sum(map(mul, dual, state[:s.rank])) * s._den]
 
 
 _DUAL_FAMILY_SWAP = {"B": "C", "C": "B"}
@@ -534,6 +516,6 @@ def length_class(s: RootSystem, beta) -> LengthClass:
     short; callers that care must consult the flag.
     """
     idx = s.index(beta)
-    if s.sq_length(idx) == s.max_sq_length:
+    if s.sq_lengths[idx] == s.max_sq_length:
         return LengthClass.LONG
     return LengthClass.SHORT

@@ -3,8 +3,8 @@
 Orbits and dominant reduction work for the full base as well as for any
 subset of simple indices (in particular the maximal-Levi subsets obtained
 by deleting one index). Every operation on a caller's vector enters
-``_start``, which checks the generators, coerces the vector once and returns
-its integer state from the pairing rows. ``linalg.step`` by a sparse step row
+``_start``, which checks the generators and takes the vector's integer state
+from ``RootSystem.state``. ``linalg.step`` by the step row ``s.steps[i]``
 updates the pairings and reflects the coordinates at its nonzero positions.
 ``orbit`` keys each step on the packed pairings, builds a state only for an
 unseen conjugate and holds only the seen keys, the unexpanded states and the
@@ -17,8 +17,7 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
 from .core import RootSystem
 from .errors import BadIndex, InvariantViolation
@@ -108,19 +107,9 @@ def apply_word(s: RootSystem, word: WeylWord, v) -> Vector:
 
 
 def _start(s: RootSystem, v, subset: Subset) -> tuple[tuple[int, ...], tuple, Rationals]:
-    """Check the generator subset and coerce v = num/q (q the common
-    denominator of its entries) once; return the sorted generators, v's
-    integer state and a Rationals over its scale t*q, t = _pair_den*den. The
-    state is _pair_den*q*<v, alpha_j^v> for every j, then t*num; with row i
-    of s._steps, state - state[i]*row_i is the state of s_i(v)."""
+    """The sorted, checked generators, then ``s.state(v)``."""
     gens = tuple(map(s.check_simple_index, sorted(set(subset))))
-    v = vector(v, s.dim)
-    q = lcm(*(x.denominator for x in v))
-    num = [x.numerator * (q // x.denominator) for x in v]
-    t = s._pair_den * s._den
-    state = (tuple(sum(map(mul, row, num)) for row in s._pair_rows)
-             + tuple(t * x for x in num))
-    return gens, state, Rationals(t * q)
+    return (gens, *s.state(v))
 
 
 def _pairing_bound(s: RootSystem, lam) -> int:
@@ -129,7 +118,7 @@ def _pairing_bound(s: RootSystem, lam) -> int:
     <w, alpha_j^v> of a conjugate w of v is <v, gamma^v> for some coroot
     gamma^v, whose coefficients are at most h's in absolute value, so every
     r*<w, alpha_j^v> lies in [-M, M]. For a dominant v, M is reached."""
-    h = s.dual_base_coefficients(s.highest_short_index)
+    h = s.dual_coeffs[s.highest_short_index]
     return sum(hk * abs(x) for hk, x in zip(h, lam))
 
 
@@ -139,7 +128,7 @@ def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
     _, state, rational = _start(s, v, word.letters)
     out = [rational.vector(state[s.rank:])]
     for i in reversed(word.letters):
-        state = step(state, state[i], s._steps[i])
+        state = step(state, state[i], s.steps[i])
         out.append(rational.vector(state[s.rank:]))
     return out
 
@@ -147,18 +136,19 @@ def _replay(s: RootSystem, word: WeylWord, v) -> list[Vector]:
 def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     """Breadth-first closure of {v} under the chosen simple reflections.
 
-    The scaled pairings r*<w, alpha_j^v> (r > 0, see ``_start``) determine a
-    conjugate w. They lie in [-M, M] (``_pairing_bound``) and, as integer
-    combinations of v's, are multiples of their gcd g: g times a key in
-    balanced base 2M/g + 1 packs them, and s_i subtracts r*<w, alpha_i^v>
-    times the packed Cartan row i. Only a new key gets a state; the walk
-    holds the seen keys, the frontier and the result, one Fraction per value.
+    The scaled pairings r*<w, alpha_j^v> (r > 0, ``RootSystem.state``)
+    determine a conjugate w. They lie in [-M, M] (``_pairing_bound``) and,
+    as integer combinations of v's, are multiples of their gcd g: g times a
+    key in balanced base 2M/g + 1 packs them, and s_i subtracts
+    r*<w, alpha_i^v> times the packed Cartan row i. Only a new key gets a
+    state; the walk holds the seen keys, the frontier and the result, one
+    Fraction per value.
     """
     gens, start, rational = _start(s, v, subset)
     n = s.rank
     g = gcd(*start[:n]) or 1
     base = 2 * _pairing_bound(s, start[:n]) // g + 1
-    packed = [sum(x * base ** p for p, x in row if p < n) for row in s._steps]
+    packed = [sum(x * base ** j for j, x in enumerate(row)) for row in s.cartan]
     key = sum(x * base ** j for j, x in enumerate(start[:n]))
     seen = {key}
     queue = deque([(key, start)])  # the states not yet expanded
@@ -172,7 +162,7 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
             new = key - c * packed[i]
             if new not in seen:
                 seen.add(new)
-                state_new = step(state, c, s._steps[i])
+                state_new = step(state, c, s.steps[i])
                 queue.append((new, state_new))
                 elements.append(rational.vector(state_new[n:]))
     return Orbit(tuple(elements), frozenset(gens))
@@ -202,6 +192,6 @@ def dominant_rep(s: RootSystem, v, subset: Subset) -> tuple[Vector, WeylWord]:
         if i is None:
             word = WeylWord(tuple(reversed(applied)))
             return rational.vector(state[s.rank:]), word
-        state = step(state, state[i], s._steps[i])
+        state = step(state, state[i], s.steps[i])
         applied.append(i)
     raise InvariantViolation("dominant reduction did not terminate")

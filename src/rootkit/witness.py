@@ -44,7 +44,7 @@ def _descend(s: RootSystem, i: int, idx: int) -> WitnessResult:
     integer replay of the word on alpha_i, which is kept as the trail. The
     replay steps coordinates, not the reflection tables the walk read."""
     letters, end = levi_walk(s, i, idx)
-    if end != s.simple_root_index(i):
+    if end != s.simple_indices[i]:
         raise InvariantViolation("descent stalled on a non-simple root")
     word = WeylWord(tuple(letters))
     trail = _replay(s, word, s.simples[i])
@@ -64,11 +64,11 @@ def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
         raise NotSpecial(f"simple root {i} of {s.ctype} is not special")
     idx = s.index(beta)
     shown = vector_str(s.roots[idx])
-    if not s.is_positive_index(idx):
+    if s.heights[idx] < 0:
         raise NotPositiveRoot(f"{shown} is not positive")
-    if s.sq_length(idx) != s.max_sq_length:
+    if s.sq_lengths[idx] != s.max_sq_length:
         raise NotLong(f"{shown} is not a long root")
-    if s.base_coefficients(idx)[i] == 0:
+    if s.coeffs[idx][i] == 0:
         raise MultiplicityZero(f"simple root {i} does not appear in {shown}")
     return _descend(s, i, idx)
 
@@ -85,7 +85,7 @@ def dominant_witness(s: RootSystem, i: int) -> WitnessResult:
         return _descend(s, i, s.highest_index)
     if is_cospecial(s, i):
         start = s.highest_short_index
-        if s.sq_length(start) != s.sq_length(s.simple_root_index(i)):
+        if s.sq_lengths[start] != s.sq_lengths[s.simple_indices[i]]:
             raise InvariantViolation(
                 f"alpha_{i} is not as long as the highest short root")
         return _descend(s, i, start)

@@ -72,6 +72,19 @@ def type_names(max_rank: int) -> list[str]:
     return names
 
 
+class IdentityRow:
+    """A row of a reflection table that maps every root to itself and fails
+    on its second read, so a walk on it must stop after its first step."""
+
+    reads = 0
+
+    def __getitem__(self, idx: int) -> int:
+        self.reads += 1
+        if self.reads > 1:
+            raise AssertionError("a step that kept the height was taken")
+        return idx
+
+
 def raw_pairing(s: RootSystem, chi, beta) -> Fraction:
     """<chi, beta^v> computed directly from coordinates and the form."""
     return 2 * form_value(s.form, tuple(chi), tuple(beta)) / \

@@ -46,8 +46,8 @@ MUTATIONS = {
         ["tests/test_core.py"]),
     "pairing table in closure order": (
         "core.py",
-        "self._simple_pairings = tuple(states[k][:n] for k in order)",
-        "self._simple_pairings = tuple(st[:n] for st in states)",
+        "self.pairings = tuple(states[k][:n] for k in order)",
+        "self.pairings = tuple(st[:n] for st in states)",
         ["tests/test_core.py"]),
     "highest and short roots swapped": (
         "core.py",
@@ -76,22 +76,22 @@ MUTATIONS = {
         ["tests/test_classify.py"]),
     "P3 walk started at +alpha_i": (
         "classify.py",
-        "levi_walk(s, i, s.negation(s.simple_root_index(i)))",
-        "levi_walk(s, i, s.simple_root_index(i))",
+        "levi_walk(s, i, s.negations[s.simple_indices[i]])",
+        "levi_walk(s, i, s.simple_indices[i])",
         ["tests/test_classify.py"]),
     "< 0 in the P3 sign test": (
         "classify.py",
-        "p3 = max(s.simple_pairings(low)) <= 0",
-        "p3 = max(s.simple_pairings(low)) < 0",
+        "p3 = max(s.pairings[low]) <= 0",
+        "p3 = max(s.pairings[low]) < 0",
         ["tests/test_classify.py"]),
     "last positive letter in descent_letter": (
         "classify.py",
-        "return next((j for j, p in enumerate(s.simple_pairings(idx))",
-        "return next((j for j, p in reversed(list(enumerate(s.simple_pairings(idx))))",
+        "return next((j for j, p in enumerate(s.pairings[idx])",
+        "return next((j for j, p in reversed(list(enumerate(s.pairings[idx])))",
         ["tests/test_digests.py"]),
     "return [] in descent_blockers": (
         "classify.py",
-        "    simple = s.simple_root_index(i)\n",
+        "    simple = s.simple_indices[i]\n",
         "    return []\n",
         ["tests/test_classify.py", "-k", "blockers"]),
     "return [] in the Levi scan": (
@@ -106,7 +106,7 @@ MUTATIONS = {
         ["tests/test_witness.py"]),
     "walk's height check dropped": (
         "classify.py",
-        "if s.height_of_index(nxt) >= s.height_of_index(idx):",
+        "if s.heights[nxt] >= s.heights[idx]:",
         "if False:",
         ["tests/test_witness.py", "tests/test_classify.py"]),
     "P1 always true": (
@@ -126,13 +126,13 @@ MUTATIONS = {
         ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
     "_pairing_bound reading h at highest_index": (
         "weyl.py",
-        "h = s.dual_base_coefficients(s.highest_short_index)",
-        "h = s.dual_base_coefficients(s.highest_index)",
+        "h = s.dual_coeffs[s.highest_short_index]",
+        "h = s.dual_coeffs[s.highest_index]",
         ["tests/test_weyl.py", "-k", "pairing_bound"]),
-    "_start's scale without the simple roots' denominators": (
-        "weyl.py",
-        "t = s._pair_den * s._den",
-        "t = s._pair_den",
+    "state's scale without the simple roots' denominators": (
+        "core.py",
+        "t = self._pair_den * self._den",
+        "t = self._pair_den",
         ["tests/test_weyl.py"]),
     "value for abs(value) in is_quasi_constant": (
         "classify.py",
@@ -156,8 +156,8 @@ MUTATIONS = {
         ["tests/test_witness.py"]),
     "step rows' coordinates doubled": (
         "core.py",
-        "self._steps = tuple(row[:-1] for row in sparse)",
-        "self._steps = tuple(tuple((p, x * (1 + (p >= n))) for p, x in row[:-1])"
+        "self.steps = tuple(row[:-1] for row in sparse)",
+        "self.steps = tuple(tuple((p, x * (1 + (p >= n))) for p, x in row[:-1])"
         " for row in sparse)",
         ["tests/test_weyl.py"]),
     "orbit pops the newest state": (
@@ -167,8 +167,8 @@ MUTATIONS = {
         ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
     "pairing reads base instead of dual coefficients": (
         "core.py",
-        "dual = s.dual_base_coefficients(s.index(beta))",
-        "dual = s.base_coefficients(s.index(beta))",
+        "dual = s.dual_coeffs[s.index(beta)]",
+        "dual = s.coeffs[s.index(beta)]",
         ["tests/test_core.py"]),
     "_descend pads the word with j, j": (
         "witness.py",

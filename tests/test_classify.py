@@ -9,6 +9,7 @@ from functools import cache
 import pytest
 
 from helpers import (
+    IdentityRow,
     ambient_orbit,
     form_value,
     get_system,
@@ -369,7 +370,7 @@ class TestVerifyTheorem:
         s = get_system(name)
         top, top_short = highest_roots(s)
         for idx, b in enumerate(s.roots):
-            want = top if s.sq_length(idx) == s.max_sq_length else top_short
+            want = top if s.sq_lengths[idx] == s.max_sq_length else top_short
             assert dominant_rep(s, b, full_base(s))[0] == want
         for row in verify_theorem(s).rows:
             alpha = s.simples[row.simple_index]
@@ -421,24 +422,16 @@ class TestVerifyTheorem:
         # An identity reflection table never stalls the walk; the step
         # check must stop it at the first step, not loop forever.
         s = build_system("A3")
-        steps = []
-
-        def identity(j, idx):
-            steps.append(j)
-            if len(steps) > 1:
-                raise AssertionError("a step that kept the height was taken")
-            return idx
-
-        monkeypatch.setattr(s, "reflect_root_index", identity)
+        monkeypatch.setattr(s, "reflections", (IdentityRow(),) * s.rank)
         with pytest.raises(InvariantViolation, match="height"):
             theorem_row(s, 0)
 
     def test_heights_map(self):
         s = get_system("G2")
         rep = verify_theorem(s)
-        assert rep.heights[rep.highest_root] == 5
-        assert rep.heights[rep.highest_short] == 3
-        assert set(rep.heights) == set(s.positives)
+        assert s.heights[s.index(rep.highest_root)] == 5
+        assert s.heights[s.index(rep.highest_short)] == 3
+        assert {b for b, h in zip(s.roots, s.heights) if h > 0} == set(s.positives)
 
 
 class TestEnumerativeChecks:
@@ -454,19 +447,19 @@ class TestEnumerativeChecks:
 
     def test_descent_blockers_found_when_nothing_pairs_positively(self, monkeypatch):
         s = build_system("A3")
-        monkeypatch.setattr(s, "simple_pairings", lambda idx: (0,) * s.rank)
+        monkeypatch.setattr(s, "pairings", ((0,) * s.rank,) * len(s.roots))
         expected = [b for b in s.positives
                     if b != s.simples[0]
-                    and s.sq_length(s.index(b)) == s.max_sq_length
+                    and s.sq_lengths[s.index(b)] == s.max_sq_length
                     and multiplicities(s, b).coeffs[0] <= 1]
         assert len(expected) == 5
         assert descent_blockers(s, 0) == expected
 
     def test_levi_violations_found_when_a_reflection_changes_alpha(self, monkeypatch):
         s = build_system("A3")
-        reflect = s.reflect_root_index
-        monkeypatch.setattr(s, "reflect_root_index",
-                            lambda j, idx: s.negation(reflect(j, idx)))
+        monkeypatch.setattr(s, "reflections",
+                            tuple(tuple(s.negations[k] for k in row)
+                                  for row in s.reflections))
         found = levi_orbit_multiplicity_violations(s)
         assert found
         for i, beta, gamma in found:
@@ -480,7 +473,7 @@ class TestEnumerativeChecks:
         for i in range(s.rank):
             alpha = s.simples[i]
             for b in s.positives:
-                if s.sq_length(s.index(b)) != s.max_sq_length:
+                if s.sq_lengths[s.index(b)] != s.max_sq_length:
                     continue
                 if all(form_value(s.form, b, s.simples[j]) <= 0
                        for j in range(s.rank) if j != i):

@@ -13,16 +13,10 @@ from rootkit.cli import main
 from rootkit.report import document_from_report, from_json, to_csv, to_json, to_table
 
 
-def run_cli(*args, env=None, python_flags=()):
-    import os
-    full_env = dict(os.environ)
-    full_env.pop("ROOTKIT_MAX_RANK", None)
-    if env:
-        full_env.update(env)
-    proc = subprocess.run(
+def run_cli(*args, python_flags=()):
+    return subprocess.run(
         [sys.executable, *python_flags, "-m", "rootkit", *args],
-        capture_output=True, text=True, env=full_env)
-    return proc
+        capture_output=True, text=True)
 
 
 class TestDescribe:
@@ -130,6 +124,7 @@ class TestVerify:
     def test_max_rank_zero_usage_error(self):
         proc = run_cli("verify", "--max-rank", "0")
         assert proc.returncode == 2
+        assert "error: --max-rank must be >= 1" in proc.stderr
 
     def test_max_rank_3(self, capsys):
         assert main(["verify", "--max-rank", "3"]) == 0
@@ -137,44 +132,34 @@ class TestVerify:
         # A1,A2,A3,B2,B3,C3,G2
         assert "checked 7 systems" in out
 
-    def test_env_var_default(self):
-        proc = run_cli("verify", env={"ROOTKIT_MAX_RANK": "2"})
-        assert proc.returncode == 0
-        assert "checked 4 systems" in proc.stdout  # A1, A2, B2, G2
+    def test_default_max_rank_is_8(self, capsys, monkeypatch):
+        import rootkit.cli as cli
 
-    def test_bad_env_var(self):
-        proc = run_cli("verify", env={"ROOTKIT_MAX_RANK": "many"})
-        assert proc.returncode == 2
-
-    def test_flag_overrides_env(self):
-        proc = run_cli("verify", "--max-rank", "1", env={"ROOTKIT_MAX_RANK": "3"})
-        assert proc.returncode == 0
-        assert "checked 1 systems" in proc.stdout
+        asked = []
+        monkeypatch.setattr(cli, "admissible_types",
+                            lambda max_rank: asked.append(max_rank) or [])
+        assert main(["verify"]) == 0
+        assert asked == [8]
 
     @pytest.mark.parametrize("argv", [
         ["--types", ""],
         ["--max-rank", "2", "--types", "A1"],
+        ["--max-rank", "8", "--types", "A1"],
     ])
     def test_unrunnable_scope_usage_error(self, capsys, argv):
         # An empty type list is not the default sweep, and --types does not
-        # override --max-rank.
+        # override --max-rank, not even when it is given the default value.
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("argv,env", [
-        (["--types", ""], None),
-        (["--types", "Z9"], None),
-        (["--max-rank", "0"], None),
-        ([], "x"),
-    ], ids=["empty-types", "unknown-type", "max-rank-0", "env-not-int"])
-    def test_scope_error_prints_verify_usage(self, capsys, monkeypatch,
-                                             argv, env):
-        if env is None:
-            monkeypatch.delenv("ROOTKIT_MAX_RANK", raising=False)
-        else:
-            monkeypatch.setenv("ROOTKIT_MAX_RANK", env)
+    @pytest.mark.parametrize("argv", [
+        ["--types", ""],
+        ["--types", "Z9"],
+        ["--max-rank", "0"],
+    ], ids=["empty-types", "unknown-type", "max-rank-0"])
+    def test_scope_error_prints_verify_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])
         assert exc.value.code == 2
@@ -182,18 +167,6 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("usage: rootkit verify ")
         assert "\nrootkit verify: error: " in captured.err
-
-    @pytest.mark.parametrize("env", ["0", "-3"])
-    def test_env_rank_below_one_names_the_variable(self, capsys, monkeypatch,
-                                                   env):
-        monkeypatch.setenv("ROOTKIT_MAX_RANK", env)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: rootkit verify ")
-        assert f"error: ROOTKIT_MAX_RANK='{env}' must be >= 1" in err
-        assert "--max-rank must" not in err
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "verify.txt"

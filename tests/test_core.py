@@ -111,7 +111,7 @@ class TestBuildSystem:
     @pytest.mark.parametrize("name", type_names(8))
     def test_length_class_counts(self, name):
         s = get_system(name)
-        lengths = {s.sq_length(k) for k in range(len(s.roots))}
+        lengths = set(s.sq_lengths)
         assert len(lengths) == (1 if s.is_simply_laced else 2)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
@@ -193,11 +193,11 @@ class TestDualSystem:
         assert dd.roots == s.roots
         assert dd.simples == s.simples
         for idx in range(len(s.roots)):
-            assert dd.base_coefficients(idx) == s.base_coefficients(idx)
-            assert dd.dual_base_coefficients(idx) == s.dual_base_coefficients(idx)
-            assert dd.simple_pairings(idx) == s.simple_pairings(idx)
+            assert dd.coeffs[idx] == s.coeffs[idx]
+            assert dd.dual_coeffs[idx] == s.dual_coeffs[idx]
+            assert dd.pairings[idx] == s.pairings[idx]
             for i in range(s.rank):
-                assert dd.reflect_root_index(i, idx) == s.reflect_root_index(i, idx)
+                assert dd.reflections[i][idx] == s.reflections[i][idx]
 
     def test_g2_exchanges_length_classes(self):
         s = get_system("G2")
@@ -258,13 +258,13 @@ def test_root_order_and_named_indices(name):
     and the named indices point at the named roots."""
     for model in (get_system(name), closure_system(name)):
         for s in (model, dual_system(model)):
-            keys = [(abs(sum(s.base_coefficients(k))), b)
+            keys = [(abs(sum(s.coeffs[k])), b)
                     for k, b in enumerate(s.roots)]
             assert keys == sorted(keys)
             assert len(set(s.roots)) == len(s.roots)
             assert s.roots[s.highest_index] == s.highest_root
             assert s.roots[s.highest_short_index] == s.highest_short
-            assert [s.roots[s.simple_root_index(i)] for i in range(s.rank)] \
+            assert [s.roots[s.simple_indices[i]] for i in range(s.rank)] \
                 == list(s.simples)
 
 
@@ -272,15 +272,15 @@ def test_root_order_and_named_indices(name):
 def test_negation_is_involution(name):
     s = get_system(name)
     for idx in range(len(s.roots)):
-        assert s.negation(s.negation(idx)) == idx
-        assert s.roots[s.negation(idx)] == vneg(s.roots[idx])
+        assert s.negations[s.negations[idx]] == idx
+        assert s.roots[s.negations[idx]] == vneg(s.roots[idx])
 
 
 @pytest.mark.parametrize("name", type_names(6))
 def test_base_expansion_signs(name):
     s = get_system(name)
     for idx, b in enumerate(s.roots):
-        coeffs = s.base_coefficients(idx)
+        coeffs = s.coeffs[idx]
         assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
         recon = s.simples[0]
         recon = vscale(coeffs[0], s.simples[0])
@@ -304,14 +304,16 @@ def test_integer_tables_match_ambient_oracle(name, dual):
     dual_coeffs = solve_base_coefficients(cobase, s.form, coroots)
     gsimple = [mat_vec(s.form, a) for a in s.simples]
     for idx, b in enumerate(s.roots):
-        assert s.base_coefficients(idx) == coeffs[idx]
-        assert s.dual_base_coefficients(idx) == dual_coeffs[idx]
-        assert s.sq_length(idx) == norms[idx]
-        assert s.roots[s.negation(idx)] == vneg(b)
+        assert s.coeffs[idx] == coeffs[idx]
+        assert s.heights[idx] == sum(coeffs[idx])
+        assert (s.heights[idx] > 0) == all(c >= 0 for c in coeffs[idx])
+        assert s.dual_coeffs[idx] == dual_coeffs[idx]
+        assert s.sq_lengths[idx] == norms[idx]
+        assert s.roots[s.negations[idx]] == vneg(b)
         for i, (a, ga) in enumerate(zip(s.simples, gsimple)):
             image = vsub(b, vscale(2 * dot(b, ga) / dot(a, ga), a))
-            assert s.roots[s.reflect_root_index(i, idx)] == image
-            assert s.simple_pairings(idx)[i] == 2 * dot(b, ga) / dot(a, ga)
+            assert s.roots[s.reflections[i][idx]] == image
+            assert s.pairings[idx][i] == 2 * dot(b, ga) / dot(a, ga)
     # The dominant roots: positive, pairing >= 0 with every simple root.
     dominant = [(norms[idx], b) for idx, b in enumerate(s.roots)
                 if all(c >= 0 for c in coeffs[idx])
@@ -378,10 +380,10 @@ def test_form_over_a_denominator(name):
     s = get_system(name)
     t = RootSystem(s.ctype, s.simples, [[x / 3 for x in row] for row in s.form],
                    s.cartan)
-    for attr in ("_coeffs", "_simple_pairings", "_refl_table", "_dual_coeffs",
-                 "_pair_rows", "_pair_den"):
+    for attr in ("coeffs", "heights", "pairings", "reflections", "negations",
+                 "dual_coeffs", "steps", "_pair_rows", "_pair_den"):
         assert getattr(t, attr) == getattr(s, attr), attr
-    assert t._sq == tuple(q / 3 for q in s._sq)
+    assert t.sq_lengths == tuple(q / 3 for q in s.sq_lengths)
 
 
 def test_closure_of_affine_cartan_matrix_stops():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import form_value, get_system, vadd, vscale, zero_vector
+from helpers import form_value, get_system, raw_pairing, vadd, vscale, zero_vector
 from rootkit import (
     WeylWord,
     apply_word,
@@ -14,6 +14,7 @@ from rootkit import (
     is_dominant,
     is_quasi_constant,
     orbit,
+    pairing,
     reflect,
 )
 
@@ -34,6 +35,16 @@ def system_and_vector(draw, integral=False):
     v = zero_vector(s.dim)
     for c, i in zip(coords, range(s.rank)):
         v = vadd(v, vscale(c, fundamental_weight(s, i)))
+    return s, v
+
+
+@st.composite
+def system_and_ambient_vector(draw):
+    """A system plus any rational vector of its ambient space, which for
+    A_n and G2 need not lie in the span of the roots."""
+    s = get_system(draw(system_names))
+    v = tuple(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+              for _ in range(s.dim))
     return s, v
 
 
@@ -113,3 +124,13 @@ def test_integral_weights_have_integer_pairings(sv):
     s, v = sv
     for i in range(s.rank):
         assert s.pair_simple(v, i).denominator == 1
+
+
+@given(system_and_ambient_vector())
+@settings(max_examples=60, deadline=None)
+def test_pairings_match_the_raw_form(sv):
+    s, v = sv
+    for i, a in enumerate(s.simples):
+        assert s.pair_simple(v, i) == raw_pairing(s, v, a)
+    for beta in s.roots:
+        assert pairing(s, v, beta) == raw_pairing(s, v, beta)

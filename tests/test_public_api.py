@@ -1,5 +1,6 @@
-"""The public names: ``rootkit.__all__`` is pinned, every name resolves, and
-the README's library example imports only public names and runs."""
+"""The public names: ``rootkit.__all__`` is pinned, every name resolves, the
+README's library example imports only public names and runs, and no module
+but ``core`` touches another object's private attributes."""
 
 import ast
 import re
@@ -49,3 +50,27 @@ def test_readme_library_example_runs():
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def private_attribute_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every ``x._name`` in the source with x not ``self``;
+    dunder names such as ``__name__`` are not private."""
+    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+
+
+def test_only_core_touches_private_attributes():
+    # RootSystem's private state (the pairing rows, the denominators) is
+    # core's alone: every other module goes through the public tables and
+    # RootSystem.state.
+    package = Path(rootkit.__file__).resolve().parent
+    found = {path.name: uses for path in sorted(package.glob("*.py"))
+             if path.name != "core.py"
+             and (uses := private_attribute_uses(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_private_attribute_check_sees_a_read():
+    assert private_attribute_uses("t = s._den * self._den + f.__name__") == [(1, "_den")]

@@ -372,8 +372,8 @@ class TestDominantRep:
         # Step row 0 without its Cartan entries, the sparse positions below
         # the rank, leaves the pairing at s_0 negative forever.
         s = build_system("A2")
-        row0 = tuple((p, x) for p, x in s._steps[0] if p >= s.rank)
-        monkeypatch.setattr(s, "_steps", (row0,) + s._steps[1:])
+        row0 = tuple((p, x) for p, x in s.steps[0] if p >= s.rank)
+        monkeypatch.setattr(s, "steps", (row0,) + s.steps[1:])
         with pytest.raises(InvariantViolation, match="terminate"):
             dominant_rep(s, vneg(s.simples[0]), full_base(s))
 

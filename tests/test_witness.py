@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import get_system, textbook_word, type_names, vneg
+from helpers import IdentityRow, get_system, textbook_word, type_names, vneg
 from rootkit import (
     InvariantViolation,
     LengthClass,
@@ -235,7 +235,7 @@ class TestInvariantViolations:
 
     def test_descent_stall(self, monkeypatch):
         s = build_system("A3")
-        monkeypatch.setattr(s, "simple_pairings", lambda idx: (0,) * s.rank)
+        monkeypatch.setattr(s, "pairings", ((0,) * s.rank,) * len(s.roots))
         with pytest.raises(InvariantViolation, match="stalled"):
             levi_conjugator(s, 0, highest_roots(s)[0])
 
@@ -243,22 +243,14 @@ class TestInvariantViolations:
         # The identity table never stalls the walk, so a missing height
         # check must fail on the second step instead of looping forever.
         s = build_system("A3")
-        steps = []
-
-        def identity(j, idx):
-            steps.append(j)
-            if len(steps) > 1:
-                raise AssertionError("a step that kept the height was taken")
-            return idx
-
-        monkeypatch.setattr(s, "reflect_root_index", identity)
+        monkeypatch.setattr(s, "reflections", (IdentityRow(),) * s.rank)
         with pytest.raises(InvariantViolation, match="height"):
             levi_conjugator(s, 0, highest_roots(s)[0])
 
     def test_alpha_coefficient_changed(self, monkeypatch):
         s = build_system("A3")
         other = s.index(s.simples[1])
-        monkeypatch.setattr(s, "reflect_root_index", lambda j, idx: other)
+        monkeypatch.setattr(s, "reflections", ((other,) * len(s.roots),) * s.rank)
         with pytest.raises(InvariantViolation, match="coefficient"):
             levi_conjugator(s, 0, highest_roots(s)[0])
 
