@@ -1,23 +1,22 @@
 """Exact construction of reduced irreducible root systems.
 
 Every type has one construction path, in integers end to end: ``RootSystem``
-checks the base's Gram matrix on integer numerators and runs the breadth-first
-reflection closure of the base, each root one integer state reached from its
-parent by one sparse ``linalg.step``. The system is its integer tables,
-public tuples indexed by root; a caller's vector enters once, by
-``RootSystem.state``. Ambient coordinates are a rendering at the boundary,
-made exact by ``linalg.Rationals``.
-The classical families A/B/C/D and G2 place each root at ``sum c_i *
-simple_i`` in their standard coordinates (type A and G2 in the sum-zero
-hyperplane of Q^n, types B/C/D in Q^n with the standard inner product) and
-check the result against the textbook root list, so textbook identities
-hold bit-exactly. E6/E7/E8/F4 keep the base coefficients as coordinates,
-with the form given by the minimal positive-integer symmetrization of the
-Cartan matrix; ``closure_system`` returns that model for every family;
-``dual_system`` reruns the closure on the transpose. Roots are sorted by the
-height of the positive representative, then lexicographically on their
-integer numerators, so indices, orbits and serialized reports are
-reproducible across runs.
+reads the Cartan matrix off the base's integer Gram matrix and runs the
+breadth-first reflection closure of the base, each root one integer state
+reached from its parent by one sparse ``linalg.step``. The system is its
+integer tables, public tuples indexed by root; a root is looked up by its
+integer numerators, and a caller's vector enters once, by ``RootSystem.state``.
+Ambient coordinates are a rendering at the boundary, made exact by
+``linalg.Rationals``. The classical families A/B/C/D and G2 place each root at
+``sum c_i * simple_i`` in their standard coordinates (type A and G2 in the
+sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard inner product)
+and check the Cartan matrix against Bourbaki's and the roots against the
+textbook list. E6/E7/E8/F4 keep the base coefficients as coordinates, with the
+minimal positive-integer symmetrization of the Cartan matrix as the form;
+``closure_system`` returns that model for every family; ``dual_system`` reruns
+the closure on the simple coroots. Roots are sorted by the height of the
+positive representative, then on their integer numerators, so indices, orbits
+and serialized reports are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -129,11 +128,11 @@ def symmetrizer(cartan) -> tuple[int, ...]:
     """Minimal positive integers d making A[i][j]*d_j symmetric in (i, j).
 
     2*d_i is the squared length of the i-th simple root in the Cartan-closure
-    model. Exists and is unique up to scale because the diagram is connected.
+    model. d is set along a spanning tree and checked on every edge; a matrix
+    that is not connected or not symmetrizable raises ValueError.
     """
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d: list[Fraction | None] = [Fraction(1)] + [None] * (n - 1)
     stack = [0]
     while stack:
         i = stack.pop()
@@ -143,10 +142,12 @@ def symmetrizer(cartan) -> tuple[int, ...]:
                 stack.append(j)
     if any(x is None for x in d):
         raise ValueError("Cartan matrix is not connected")
+    if min(d) <= 0 or any(cartan[i][j] * d[j] != cartan[j][i] * d[i]
+                          for i in range(n) for j in range(i)):
+        raise ValueError(f"Cartan matrix {cartan} is not symmetrizable")
+    # d_0 = 1, so the common denominator leaves the integers coprime.
     scale = lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(int(x * scale) for x in d)
 
 
 class LengthClass(Enum):
@@ -157,58 +158,58 @@ class LengthClass(Enum):
 class RootSystem:
     """Immutable bundle of roots, base, form and integer tables.
 
-    Built by ``build_system``, ``closure_system`` or ``dual_system``. The
-    roots are the reflection closure of the base: a root's integer state is
-    its pairings with the simple coroots, its numerators over ``_den`` and
-    its base coefficients, and s_j subtracts the j-th pairing times sparse
-    row j (Cartan row j, den * simples[j], e_j) once the image's coefficients
-    prove new. Each image is recorded as an index, so the root set is closed
-    by construction. The tables are tuples indexed by root: ``coeffs``,
-    ``dual_coeffs`` (over the simple coroots), signed ``heights`` (> 0 iff
-    positive), ``pairings[idx][j]`` = <roots[idx], alpha_j^v>,
+    Built by ``build_system``, ``closure_system`` or ``dual_system`` from a
+    type, a base and a form; the Cartan matrix ``cartan``, A[i][j] = 2
+    (alpha_i, alpha_j) / (alpha_j, alpha_j), is read off the base's integer
+    Gram matrix. The roots are the reflection closure of the base: a root's
+    integer state is its pairings with the simple coroots, its numerators over
+    ``_den`` and its base coefficients, and s_j subtracts the j-th pairing
+    times sparse row j (Cartan row j, den * simples[j], e_j) once the image's
+    coefficients prove new. Each image is recorded as an index, so the root
+    set is closed by construction. The tables are tuples indexed by root:
+    ``coeffs``, ``dual_coeffs`` (over the simple coroots), signed ``heights``
+    (> 0 iff positive), ``pairings[idx][j]`` = <roots[idx], alpha_j^v>,
     ``negations``, ``sq_lengths`` and ``reflections[i][idx]``, the index of
-    s_i(roots[idx]); ``simple_indices[i]`` is the index of alpha_i.
-    ``state(v)`` is a caller's vector in integers, and
-    ``steps[i]``, row i without its e_i, steps it to s_i(v). ``_cols`` over
-    ``_den`` embed the roots and the fundamental weights; the weights, like
-    the dual system, are built on first use. Validated at construction time:
+    s_i(roots[idx]); ``simple_indices[i]`` is the index of alpha_i, and
+    ``index`` looks a root up by its integer numerators over ``_den``.
+    ``state(v)`` is a caller's vector in integers, and ``steps[i]``, row i
+    without its e_i, steps it to s_i(v). ``_cols`` over ``_den`` embed the
+    roots and the fundamental weights; the weights, like the dual system, are
+    built on first use. Validated at construction time:
 
-    - the form is symmetric;
-    - the ambient Gram matrix of the base is one positive scale times
-      A[i][j] * d_j, d the ``symmetrizer`` (so the Cartan matrix is the
-      base's own, and a finite-type one makes the form positive definite);
+    - the form is symmetric, positive on each simple root, and the base is
+      crystallographic: every A[i][j] is an integer;
     - no root is zero and each has sign-homogeneous coefficients;
     - the closure stops within 4 * rank^2 roots; the root set is
       symmetric, reduced (2c is never a root) and has at most two lengths;
     - dual (coroot) coefficients are integers;
-    - there is exactly one dominant root per root length.
+    - there is exactly one dominant root per root length, and the highest
+      root's support is the whole base (the diagram is connected).
     """
 
-    def __init__(self, ctype: CartanType, simples, form, cartan):
+    def __init__(self, ctype: CartanType, simples, form):
         self.ctype = ctype
         self.rank = n = len(simples)
         self.form = linalg.matrix(form)
         self.dim = len(self.form)
         self.simples = tuple(vector(v, self.dim) for v in simples)
-        if self.form != linalg.transpose(self.form):
+        if self.form != tuple(zip(*self.form)):
             raise ValueError("form is not symmetric")
-        self.cartan = a = tuple(tuple(int(x) for x in row) for row in cartan)
 
         # The form is fnum / fden and simple i is num[i] / den, so the base's
-        # Gram matrix, gram / (fden * den^2), must be scale * A[i][j] * d_j
-        # with scale > 0.
-        d = symmetrizer(a)
+        # Gram matrix is gram / (fden * den^2), and A[i][j] = 2 (alpha_i,
+        # alpha_j) / (alpha_j, alpha_j) = 2 * gram[i][j] / d[j], d its diagonal.
         self._den = den = lcm(*(x.denominator for v in self.simples for x in v))
         fden = lcm(*(x.denominator for row in self.form for x in row))
         num = [[int(x * den) for x in v] for v in self.simples]
         fnum = [[int(x * fden) for x in row] for row in self.form]
         gsimple = [[sum(f * x for f, x in zip(row, v)) for row in fnum] for v in num]
         gram = [[sum(x * y for x, y in zip(u, g)) for g in gsimple] for u in num]
-        if gram[0][0] <= 0 or any(2 * d[0] * gram[i][j] != gram[0][0] * a[i][j] * d[j]
-                                  for i in range(n) for j in range(n)):
-            raise ValueError("Gram matrix of the base is not a positive "
-                             "multiple of the symmetrized Cartan matrix")
-        scale = Fraction(gram[0][0], 2 * d[0] * fden * den * den)
+        d = [gram[j][j] for j in range(n)]
+        if min(d) <= 0 or any(2 * gram[i][j] % d[j] for i in range(n) for j in range(n)):
+            raise ValueError("base is not crystallographic: some A[i][j] is not an integer")
+        self.cartan = a = tuple(tuple(2 * gram[i][j] // d[j] for j in range(n))
+                                for i in range(n))
 
         # Breadth-first closure. State: pairings p_j = sum_k c_k A[k][j], den *
         # root, base coefficients c. s_j subtracts p_j times row j, so simples[j]
@@ -260,7 +261,7 @@ class RootSystem:
         self.pairings = tuple(states[k][:n] for k in order)
         self.reflections = tuple(tuple(at[images[k][i]] for k in order)
                                  for i in range(n))
-        self._index = {beta: k for k, beta in enumerate(self.roots)}
+        self._index = {keys[k][1]: new for new, k in enumerate(order)}
         self.positives = tuple(r for r, h in zip(self.roots, self.heights) if h > 0)
 
         neg = [found.get(tuple(-x for x in c)) for c in self.coeffs]
@@ -270,21 +271,22 @@ class RootSystem:
         if any(tuple(2 * x for x in c) in found for c in found):
             raise ValueError("system is not reduced")
 
-        # (beta, beta) = scale * norm, norm = sum_j c_j <beta, alpha_j^v> d_j.
+        # (beta, beta) = norm / (2 * fden * den^2), norm = sum_j c_j <beta,
+        # alpha_j^v> d_j, since (alpha_j, alpha_j) = d_j / (fden * den^2).
         norms = tuple(sum(x * p * dj for x, p, dj in zip(c, ps, d))
                       for c, ps in zip(self.coeffs, self.pairings))
         if any(q <= 0 for q in norms):
             raise ValueError("form not positive on a root")
-        sq = {q: scale * q for q in set(norms)}
+        sq = {q: Fraction(q, 2 * fden * den * den) for q in set(norms)}
         if len(sq) > 2:
             raise ValueError("more than two root lengths")
         self.sq_lengths = tuple(map(sq.__getitem__, norms))
         self.max_sq_length, self.min_sq_length = sq[max(sq)], sq[min(sq)]
 
         # Integer pairing rows: <v, alpha_i^v> = 2 (v, alpha_i) / (alpha_i,
-        # alpha_i) = 2 * den * (gsimple[i] . v) / gram[i][i] = (_pair_rows[i]
-        # . v) / _pair_den, _pair_den the lcm of the reduced denominators.
-        pairs = [(g, gram[i][i]) for i, g in enumerate(gsimple)]
+        # alpha_i) = 2 * den * (gsimple[i] . v) / d[i] = (_pair_rows[i] . v)
+        # / _pair_den, _pair_den the lcm of the reduced denominators.
+        pairs = list(zip(gsimple, d))
         self._pair_den = pden = lcm(*(q // gcd(2 * den * x, q) for g, q in pairs for x in g))
         self._pair_rows = tuple(tuple(2 * den * x * pden // q for x in g) for g, q in pairs)
 
@@ -304,6 +306,8 @@ class RootSystem:
         if any(len(ks) != 1 for ks in dominant):
             raise ValueError("not exactly one dominant root per root length")
         [self.highest_index], [self.highest_short_index] = dominant
+        if 0 in self.coeffs[self.highest_index]:
+            raise ValueError("Cartan matrix is not connected")
         self.highest_root = self.roots[self.highest_index]
         self.highest_short = self.roots[self.highest_short_index]
 
@@ -312,13 +316,13 @@ class RootSystem:
     def index(self, v) -> int:
         """Index of a root in ``roots``; raises NotARoot otherwise."""
         v = vector(v)
-        k = self._index.get(v)
+        k = self._index.get(tuple(x * self._den for x in v))
         if k is None:
             raise NotARoot(f"{linalg.vector_str(v)} is not a root of {self.ctype}")
         return k
 
     def is_positive_root(self, v) -> bool:
-        k = self._index.get(vector(v))
+        k = self._index.get(tuple(x * self._den for x in vector(v)))
         return k is not None and self.heights[k] > 0
 
     def check_simple_index(self, i: int) -> int:
@@ -353,8 +357,7 @@ class RootSystem:
     def dual(self) -> "RootSystem":
         """The system of coroots; see ``dual_system``."""
         simples = [coroot(self, a) for a in self.simples]
-        return RootSystem(_dual_ctype(self.ctype), simples, self.form,
-                          linalg.transpose(self.cartan))
+        return RootSystem(_dual_ctype(self.ctype), simples, self.form)
 
     @cached_property
     def fundamental_weights(self) -> tuple[Vector, ...]:
@@ -434,9 +437,9 @@ def _classical_data(ctype: CartanType):
 def build_system(ctype: CartanType | str) -> RootSystem:
     """Canonical model of an irreducible root system.
 
-    Every type is generated by reflection closure from its Cartan matrix.
-    Classical families and G2 then embed each root into their standard
-    coordinates, and the embedded root set must equal the textbook list;
+    Every type is the reflection closure of a base in Bourbaki numbering.
+    Classical families and G2 take their standard coordinates, where the
+    Cartan matrix must be Bourbaki's and the root set the textbook list;
     E and F types keep base coefficients as coordinates.
     """
     if isinstance(ctype, str):
@@ -445,10 +448,11 @@ def build_system(ctype: CartanType | str) -> RootSystem:
         return closure_system(ctype)
     dim, simples, textbook = _classical_data(ctype)
     form = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    s = RootSystem(ctype, simples, form, cartan_matrix(ctype))
-    if set(s.roots) != set(textbook):
-        raise ValueError(f"{ctype}: closure embedding differs from the "
-                         "textbook root list")
+    s = RootSystem(ctype, simples, form)
+    if s.cartan != cartan_matrix(ctype):
+        raise ValueError(f"{ctype}: the simple roots are not in Bourbaki order")
+    if s._index.keys() != {tuple(s._den * x for x in r) for r in textbook}:
+        raise ValueError(f"{ctype}: closure embedding differs from the textbook root list")
     return s
 
 
@@ -467,7 +471,7 @@ def closure_system(ctype: CartanType | str) -> RootSystem:
     d = symmetrizer(a)
     form = [[Fraction(a[i][j] * d[j]) for j in range(n)] for i in range(n)]
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return RootSystem(ctype, simples, form, a)
+    return RootSystem(ctype, simples, form)
 
 
 # -- operations ------------------------------------------------------------
@@ -500,11 +504,10 @@ def _dual_ctype(ctype: CartanType) -> CartanType:
 def dual_system(s: RootSystem) -> RootSystem:
     """The root system of coroots, with the same form.
 
-    Simple roots are the coroots of the original base in matching index
-    order (the numbering follows the primal system, not the dual's own
-    Bourbaki convention), so the Cartan matrix is the transpose, and the
-    roots are the closure of that base under it, as for every system.
-    Applying dual_system twice returns the original root set and tables.
+    The base is the coroots of the original base in matching index order
+    (the numbering follows the primal system, not the dual's own Bourbaki
+    convention), so the Cartan matrix read off it is the transpose. Applying
+    dual_system twice returns the original root set and tables.
     """
     return s.dual
 

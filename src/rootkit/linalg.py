@@ -86,7 +86,3 @@ def step(state, c: int, row) -> list[int]:
         state[p] -= c * x
     return state
 
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m, strict=True))
-

@@ -2,13 +2,14 @@
 
 Usage, from the root of a checkout: python3 tests/mutants.py [NAME ...]
 
-For each mutation (all of them, or the names given), the runner copies
-``src/``, ``tests/``, ``pyproject.toml`` and ``perfbench/digests.json`` to a
-temporary directory, replaces one exact piece of source text (it stops with
-an error unless the text occurs exactly once), runs the mutation's pytest
-subset there with a timeout and prints ``caught`` or ``MISSED``. First it
-runs every subset on an unmutated copy, which must pass, so that a catch
-means the mutation was seen. Exits 1 on any miss, timeout or error.
+The runner copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``perfbench/digests.json`` once, to a temporary base directory, and runs
+every mutation's pytest subset there; each must pass, so that a catch means
+the mutation was seen. For each mutation (all of them, or the names given)
+it then copies that base, replaces one exact piece of source text (it stops
+with an error unless the text occurs exactly once), runs the subset with a
+timeout and prints ``caught`` or ``MISSED``. So one run tests one tree, even
+if the checkout changes meanwhile. Exits 1 on any miss, timeout or error.
 
 Not collected by pytest on purpose: each mutation costs a pytest run. A
 change that finds a new way to break the engine adds its mutation here.
@@ -26,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
+IGNORE = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
 
 # name -> (file under src/rootkit, exact text, replacement, pytest arguments)
 MUTATIONS = {
@@ -41,13 +43,33 @@ MUTATIONS = {
         ["tests/test_core.py"]),
     "Gram check on the diagonal only": (
         "core.py",
-        "for i in range(n) for j in range(n))",
-        "for i in range(n) for j in (i,))",
+        "2 * gram[i][j] % d[j] for i in range(n) for j in range(n))",
+        "2 * gram[i][j] % d[j] for i in range(n) for j in (i,))",
+        ["tests/test_core.py"]),
+    "Cartan matrix read transposed": (
+        "core.py",
+        "2 * gram[i][j] // d[j]",
+        "2 * gram[j][i] // d[i]",
+        ["tests/test_core.py"]),
+    "root lookup without the den scale": (
+        "core.py",
+        "self._index.get(tuple(x * self._den for x in v))",
+        "self._index.get(tuple(v))",
+        ["tests/test_core.py"]),
+    "symmetrizer skips the edge check": (
+        "core.py",
+        "any(cartan[i][j] * d[j] != cartan[j][i] * d[i]",
+        "any(False",
         ["tests/test_core.py"]),
     "pairing table in closure order": (
         "core.py",
         "self.pairings = tuple(states[k][:n] for k in order)",
         "self.pairings = tuple(st[:n] for st in states)",
+        ["tests/test_core.py"]),
+    "highest root's support not checked": (
+        "core.py",
+        "if 0 in self.coeffs[self.highest_index]:",
+        "if False:",
         ["tests/test_core.py"]),
     "highest and short roots swapped": (
         "core.py",
@@ -64,7 +86,7 @@ MUTATIONS = {
         "t = sum(x * row[i] for x, row in zip(v, self.cartan))",
         "t = sum(x * row[0] for x, row in zip(v, self.cartan))",
         ["tests/test_classify.py"]),
-    "squared length without the symmetrizer": (
+    "squared length without the simple roots' lengths": (
         "core.py",
         "sum(x * p * dj for x, p, dj in zip(c, ps, d))",
         "sum(x * p for x, p, dj in zip(c, ps, d))",
@@ -184,9 +206,8 @@ MUTATIONS = {
 
 
 def copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+        shutil.copytree(ROOT / name, dest / name, ignore=IGNORE)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
     (dest / "perfbench").mkdir()  # test_digests.py reads the digests
     shutil.copy2(ROOT / "perfbench" / "digests.json", dest / "perfbench")
@@ -206,9 +227,9 @@ def run_pytest(where: Path, args: list[str]) -> str:
     return {0: "pass", 1: "fail"}.get(proc.returncode, f"error {proc.returncode}")
 
 
-def mutated(path: str, old: str, new: str) -> str:
-    """The source of src/rootkit/path with old replaced by new, once."""
-    text = (ROOT / "src" / "rootkit" / path).read_text()
+def mutated(root: Path, path: str, old: str, new: str) -> str:
+    """The source of src/rootkit/path under root with old replaced by new, once."""
+    text = (root / "src" / "rootkit" / path).read_text()
     if text.count(old) != 1:
         raise SystemExit(f"{path}: {old!r} occurs {text.count(old)} times, "
                          "not once; update the mutation")
@@ -220,12 +241,12 @@ def main(names: list[str]) -> int:
     if unknown:
         raise SystemExit(f"unknown mutations: {sorted(unknown)}")
     chosen = {n: MUTATIONS[n] for n in names or MUTATIONS}
-    sources = {n: mutated(*m[:3]) for n, m in chosen.items()}
     bad = []
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="rootkit-mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
+        sources = {n: mutated(base, *m[:3]) for n, m in chosen.items()}
         for args in dict.fromkeys(tuple(m[3]) for m in chosen.values()):
             result = run_pytest(base, list(args))
             if result != "pass":
@@ -234,7 +255,7 @@ def main(names: list[str]) -> int:
                 return 1
         for k, (name, (path, _, _, args)) in enumerate(chosen.items()):
             where = Path(tmp) / f"m{k}"
-            copy_tree(where)
+            shutil.copytree(base, where, ignore=IGNORE)
             (where / "src" / "rootkit" / path).write_text(sources[name])
             result = run_pytest(where, args)
             status = {"fail": "caught", "pass": "MISSED"}.get(result, result.upper())

@@ -336,18 +336,85 @@ def test_build_rejects_embedding_off_textbook(monkeypatch):
         core.build_system("B3")
 
 
-@pytest.mark.parametrize("name,cartan", [
-    ("B3", ((2, -1, 0), (-1, 2, -1), (0, -2, 2))),  # C3's: lengths differ
-    ("A3", ((2, -1, -1), (-1, 2, 0), (-1, 0, 2))),  # renumbered: angles differ
+@pytest.mark.parametrize("name,order", [("A3", (1, 0, 2)), ("B3", (2, 1, 0))])
+def test_build_rejects_a_base_out_of_bourbaki_order(monkeypatch, name, order):
+    """A renumbered base spans the textbook roots, but its Cartan matrix is
+    not Bourbaki's."""
+    import rootkit.core as core
+
+    real = core._classical_data
+
+    def renumbered(ctype):
+        dim, simples, roots = real(ctype)
+        return dim, [simples[k] for k in order], roots
+
+    monkeypatch.setattr(core, "_classical_data", renumbered)
+    with pytest.raises(ValueError, match="Bourbaki order"):
+        core.build_system(name)
+
+
+@pytest.mark.parametrize("simples,form", [
+    ([(1, 0), (-1, 2)], [[1, 0], [0, 1]]),  # 2 (a_0, a_1) / (a_1, a_1) = -2/5
+    ([(1,)], [[-1]]),  # a simple root of negative length
+    ([(0,)], [[1]]),  # and of length 0
 ])
-def test_rejects_cartan_matrix_of_another_base(name, cartan):
-    s = get_system(name)
-    with pytest.raises(ValueError, match="Gram matrix"):
-        RootSystem(s.ctype, s.simples, s.form, cartan)
+def test_rejects_a_base_that_is_not_crystallographic(simples, form):
+    with pytest.raises(ValueError, match="not crystallographic"):
+        RootSystem(CartanType("A", len(simples)), simples, form)
+
+
+@pytest.mark.parametrize("simples,match", [
+    ([(1, 0, 0), (0, 1, 1)], "not connected"),  # A1 x A1, two lengths
+    ([(1, 0), (0, 1)], "dominant root"),  # A1 x A1, one length
+])
+def test_rejects_a_reducible_base(simples, match):
+    dim = len(simples[0])
+    form = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    with pytest.raises(ValueError, match=match):
+        RootSystem(CartanType("A", 2), simples, form)
+
+
+@pytest.mark.parametrize("cartan", [
+    [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],  # a tree sets d; edge (1, 2) disagrees
+    [[2, -1], [1, 2]],  # d_1 = -1
+    [[2, -1], [0, 2]],  # d_1 = 0
+])
+def test_symmetrizer_checks_every_edge(cartan):
+    with pytest.raises(ValueError, match=r"Cartan matrix \[\[2, -1.*not symmetrizable"):
+        symmetrizer(cartan)
+
+
+def test_lookup_by_numerators_over_the_denominator():
+    """F4's dual has its simple roots over 2: a root given as Fractions is
+    found by its numerators over 2, and half a root is not a root."""
+    s = dual_system(closure_system("F4"))
+    assert s._den == 2
+    assert any(x.denominator == 2 for b in s.roots for x in b)
+    for idx, beta in enumerate(s.roots):
+        assert s.index(tuple(Q(x) for x in beta)) == idx
+        assert s.index([str(x) for x in beta]) == idx
+        assert s.is_positive_root(beta) == (s.heights[idx] > 0)
+        half = vscale(Q(1, 2), beta)
+        with pytest.raises(NotARoot):
+            s.index(half)
+        assert not s.is_positive_root(half)
 
 
 def _tables(s):
     return {k: v for k, v in vars(s).items() if k != "dual"}
+
+
+def test_construction_hashes_no_fraction(monkeypatch):
+    """Roots are keyed by their integer numerators: with Fraction.__hash__
+    failing, both models of every type still build."""
+    import rootkit.core as core
+
+    def fail(self):
+        raise AssertionError("Fraction hashed in construction")
+
+    monkeypatch.setattr(Fraction, "__hash__", fail)
+    for name in type_names(8):
+        assert core.build_system(name).ctype == core.closure_system(name).ctype
 
 
 def test_construction_stays_on_integers(monkeypatch):
@@ -378,8 +445,7 @@ def test_form_over_a_denominator(name):
     """The form enters over one denominator; no built system has one other
     than 1, so scale it by 1/3: every integer table stays, the lengths scale."""
     s = get_system(name)
-    t = RootSystem(s.ctype, s.simples, [[x / 3 for x in row] for row in s.form],
-                   s.cartan)
+    t = RootSystem(s.ctype, s.simples, [[x / 3 for x in row] for row in s.form])
     for attr in ("coeffs", "heights", "pairings", "reflections", "negations",
                  "dual_coeffs", "steps", "_pair_rows", "_pair_den"):
         assert getattr(t, attr) == getattr(s, attr), attr
@@ -387,14 +453,14 @@ def test_form_over_a_denominator(name):
 
 
 def test_closure_of_affine_cartan_matrix_stops():
-    # The affine A1 matrix passes the Gram check on a line: alpha_1 = -alpha_0.
+    # alpha_1 = -alpha_0 on a line: the Cartan matrix is affine A1's.
     with pytest.raises(ValueError, match="did not terminate"):
-        RootSystem(CartanType("A", 2), [(1,), (-1,)], [[1]], ((2, -2), (-2, 2)))
+        RootSystem(CartanType("A", 2), [(1,), (-1,)], [[1]])
 
 
 def test_constructor_names_the_expected_length():
     s = get_system("A3")
     with pytest.raises(ValueError, match="3 entries, expected 4"):
-        RootSystem(s.ctype, [v[:3] for v in s.simples], s.form, s.cartan)
+        RootSystem(s.ctype, [v[:3] for v in s.simples], s.form)
     with pytest.raises(ValueError, match="3 entries, expected 4"):
-        RootSystem(s.ctype, s.simples, [row[:3] for row in s.form], s.cartan)
+        RootSystem(s.ctype, s.simples, [row[:3] for row in s.form])
