@@ -114,8 +114,21 @@ def is_quasi_constant(s: RootSystem, chi) -> bool:
     condition reduces to: within each length class of roots, all nonzero
     |<chi, beta^v>| coincide. Scale-invariant in chi; vacuously true when
     chi kills every coroot.
+
+    Simple coroots of one length are W-conjugate, so chi is rejected at
+    once when two of them pair with it to different nonzero absolute
+    values; the pairings are read as integers, one common positive
+    multiple of <chi, alpha_j^v>, on chi's state. Otherwise every positive
+    root is scanned.
     """
-    chi = vector(chi, s.dim)
+    state, rational = s.state(chi)
+    chi = rational.vector(state[s.rank:])
+    simple: dict[Fraction, set[int]] = {}
+    for j, p in enumerate(state[:s.rank]):
+        if p:
+            simple.setdefault(s.sq_lengths[s.simple_indices[j]], set()).add(abs(p))
+    if any(len(vals) > 1 for vals in simple.values()):
+        return False
     classes: dict[Fraction, set[Fraction]] = {}
     for idx, beta in enumerate(s.roots):
         if s.heights[idx] < 0:

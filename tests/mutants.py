@@ -156,6 +156,16 @@ MUTATIONS = {
         "t = self._pair_den * self._den",
         "t = self._pair_den",
         ["tests/test_weyl.py"]),
+    "simple-coroot test without abs": (
+        "classify.py",
+        ".add(abs(p))",
+        ".add(p)",
+        ["tests/test_classify.py"]),
+    "simple-coroot test across lengths": (
+        "classify.py",
+        "simple.setdefault(s.sq_lengths[s.simple_indices[j]], set())",
+        "simple.setdefault(0, set())",
+        ["tests/test_classify.py"]),
     "value for abs(value) in is_quasi_constant": (
         "classify.py",
         ".add(abs(value))",

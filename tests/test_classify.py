@@ -19,6 +19,7 @@ from helpers import (
     vadd,
     vneg,
     vscale,
+    vsub,
     zero_vector,
 )
 from rootkit import (
@@ -26,6 +27,8 @@ from rootkit import (
     InvariantViolation,
     NotPositiveRoot,
     RootSystem,
+    WeylWord,
+    apply_word,
     build_system,
     closure_system,
     coroot,
@@ -65,6 +68,17 @@ def literal_quasi_constant(s, chi) -> bool:
             if form_value(s.form, chi, gamma_dual) / denom not in (-1, 0, 1):
                 return False
     return True
+
+
+def simple_test_rejects(s, chi) -> bool:
+    """Whether two simple coroots of one length pair with chi to different
+    nonzero absolute values, from raw coordinates and the form."""
+    groups: dict = {}
+    for a in s.simples:
+        p = raw_pairing(s, chi, a)
+        if p:
+            groups.setdefault(form_value(s.form, a, a), set()).add(abs(p))
+    return any(len(vals) > 1 for vals in groups.values())
 
 
 def vec(*xs):
@@ -300,6 +314,64 @@ class TestQuasiConstant:
             chis.append(vadd(etas[0], (Q(2, 7),) * 4))
         for chi in chis:
             assert is_quasi_constant(s, chi) == literal_quasi_constant(s, chi)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+    def test_simple_coroot_rejection_and_scan_match_the_definition(self, name):
+        # W-conjugates of omega_i and 2 omega_i by seeded words, and random
+        # rational vectors; the path each takes is read from raw pairings.
+        s = get_system(name)
+        rng = random.Random(53)
+        chis = []
+        for i in range(s.rank):
+            for c in (1, 2):
+                eta = vscale(c, fundamental_weight(s, i))
+                for _ in range(3):
+                    letters = tuple(rng.randrange(s.rank)
+                                    for _ in range(rng.randint(1, 6)))
+                    chis.append(apply_word(s, WeylWord(letters), eta))
+        for _ in range(8):
+            chis.append(tuple(Q(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(s.dim)))
+        paths = set()
+        for chi in chis:
+            rejected = simple_test_rejects(s, chi)
+            paths.add(rejected)
+            want = literal_quasi_constant(s, chi)
+            assert is_quasi_constant(s, chi) == want
+            assert not (rejected and want)
+        # G2 has one simple root of each length, so nothing is rejected.
+        assert paths == ({False} if name == "G2" else {True, False})
+
+    def test_a3_simple_pairings_one_minus_one_one(self):
+        # A conjugate of omega_2: its simple pairings differ in sign only,
+        # so it passes the simple-coroot test, and it is quasi-constant.
+        s = get_system("A3")
+        etas = [fundamental_weight(s, i) for i in range(3)]
+        chi = vadd(vsub(etas[0], etas[1]), etas[2])
+        assert [raw_pairing(s, chi, a) for a in s.simples] == [1, -1, 1]
+        assert chi in ambient_orbit(s, etas[1], range(3))
+        assert not simple_test_rejects(s, chi)
+        assert is_quasi_constant(s, chi) and literal_quasi_constant(s, chi)
+
+    def test_a3_simple_pairings_all_one(self):
+        # rho passes the simple-coroot test; the highest coroot pairs 3.
+        s = get_system("A3")
+        etas = [fundamental_weight(s, i) for i in range(3)]
+        chi = vadd(vadd(etas[0], etas[1]), etas[2])
+        assert [raw_pairing(s, chi, a) for a in s.simples] == [1, 1, 1]
+        assert not simple_test_rejects(s, chi)
+        assert not is_quasi_constant(s, chi)
+        assert not literal_quasi_constant(s, chi)
+
+    @pytest.mark.parametrize("name", type_names(8))
+    def test_fundamental_weights_pass_the_simple_coroot_test(self, name):
+        # Each omega_i pairs e_i with the simple coroots, so the rejection
+        # never decides a theorem row's P1: the scan does.
+        s = get_system(name)
+        for i in range(s.rank):
+            eta = fundamental_weight(s, i)
+            assert [raw_pairing(s, eta, a) for a in s.simples] == \
+                [int(i == j) for j in range(s.rank)]
 
 
 class TestTheoremRows:
