@@ -175,16 +175,20 @@ class RootSystem:
     ``state(v)`` is a caller's vector in integers, and ``steps[i]``, row i
     without its e_i, steps it to s_i(v). ``_cols`` over ``_den`` embed the
     roots and the fundamental weights; the weights, like the dual system, are
-    built on first use. Validated at construction time:
-
-    - the form is symmetric, positive on each simple root, and the base is
-      crystallographic: every A[i][j] is an integer;
-    - no root is zero and each has sign-homogeneous coefficients;
-    - the closure stops within 4 * rank^2 roots; the root set is
-      symmetric, reduced (2c is never a root) and has at most two lengths;
-    - dual (coroot) coefficients are integers;
-    - there is exactly one dominant root per root length, and the highest
-      root's support is the whole base (the diagram is connected).
+    built on first use. Checked on the base: the form is symmetric, the base
+    crystallographic (each A[i][j] an integer, each simple root of positive
+    length) and no pair of simple roots acute (A[i][j] <= 0 off the diagonal),
+    so A is a symmetrizable generalized Cartan matrix. On the closure: at most
+    4 * rank^2 roots and two lengths, integer dual coefficients, one dominant
+    root per length (the closed chamber meets each W-orbit once, Humphreys
+    1.12, so each length is one orbit) and a highest root of full support (the
+    diagram is connected). The closure cannot fail the rest: no root is zero
+    (s_j turns c_j into c_j - p_j, and p_j = 2 c_j on c_j e_j); -w(alpha_j) =
+    w s_j(alpha_j) is a root; reflections keep the simple roots' lengths; and
+    the roots are A's real roots, each positive or negative, and no multiple
+    but -beta of a root beta is one (Kac, Infinite-dimensional Lie Algebras,
+    1.3 and Prop. 5.1). An acute pair, A[i][j] > 0, would give the mixed-sign
+    root s_j(alpha_i) = alpha_i - A[i][j] alpha_j.
     """
 
     def __init__(self, ctype: CartanType, simples, form):
@@ -210,6 +214,11 @@ class RootSystem:
             raise ValueError("base is not crystallographic: some A[i][j] is not an integer")
         self.cartan = a = tuple(tuple(2 * gram[i][j] // d[j] for j in range(n))
                                 for i in range(n))
+        # A[i][j] and A[j][i] both have the sign of gram[i][j].
+        acute = next(((j, i) for i in range(n) for j in range(i) if a[i][j] > 0), None)
+        if acute:
+            raise ValueError(f"simple roots {acute[0]} and {acute[1]} are at an acute "
+                             f"angle: {a} is not a generalized Cartan matrix")
 
         # Breadth-first closure. State: pairings p_j = sum_k c_k A[k][j], den *
         # root, base coefficients c. s_j subtracts p_j times row j, so simples[j]
@@ -241,14 +250,7 @@ class RootSystem:
         # its step row i is row i without its last entry, e_i.
         self.steps = tuple(row[:-1] for row in sparse)
 
-        keys = []
-        for st in states:
-            c = st[w:]
-            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-                raise ValueError(f"{c} has mixed-sign base coefficients")
-            if not any(c):
-                raise ValueError("zero vector in root set")
-            keys.append((sum(map(abs, c)), st[n:w]))
+        keys = [(sum(map(abs, st[w:])), st[n:w]) for st in states]
         # Sort by height, then numerators (the vectors' order); at[k] is
         # root k's new index. Each vector is built once, after the sort.
         order = sorted(range(len(states)), key=keys.__getitem__)
@@ -264,19 +266,12 @@ class RootSystem:
         self._index = {keys[k][1]: new for new, k in enumerate(order)}
         self.positives = tuple(r for r, h in zip(self.roots, self.heights) if h > 0)
 
-        neg = [found.get(tuple(-x for x in c)) for c in self.coeffs]
-        if None in neg:
-            raise ValueError("root set is not symmetric")
-        self.negations = tuple(at[k] for k in neg)
-        if any(tuple(2 * x for x in c) in found for c in found):
-            raise ValueError("system is not reduced")
+        self.negations = tuple(at[found[tuple(-x for x in c)]] for c in self.coeffs)
 
         # (beta, beta) = norm / (2 * fden * den^2), norm = sum_j c_j <beta,
         # alpha_j^v> d_j, since (alpha_j, alpha_j) = d_j / (fden * den^2).
         norms = tuple(sum(x * p * dj for x, p, dj in zip(c, ps, d))
                       for c, ps in zip(self.coeffs, self.pairings))
-        if any(q <= 0 for q in norms):
-            raise ValueError("form not positive on a root")
         sq = {q: Fraction(q, 2 * fden * den * den) for q in set(norms)}
         if len(sq) > 2:
             raise ValueError("more than two root lengths")

@@ -76,6 +76,16 @@ MUTATIONS = {
         "[self.highest_index], [self.highest_short_index] = dominant",
         "[self.highest_short_index], [self.highest_index] = dominant",
         ["tests/test_core.py"]),
+    "generalized Cartan test dropped": (
+        "core.py",
+        "if acute:",
+        "if False:",
+        ["tests/test_core.py", "-k", "what_is_wrong"]),
+    "one dominant root per length unchecked": (
+        "core.py",
+        "if any(len(ks) != 1 for ks in dominant):",
+        "if False:",
+        ["tests/test_core.py", "-k", "reducible"]),
     "dual coefficients off by one": (
         "core.py",
         "tuple(tuple(x // q for x in row) for row, q in nums)",

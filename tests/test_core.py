@@ -1,10 +1,12 @@
 """Construction, coroots, pairings, duality, length classes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    ambient_orbit,
     dot,
     form_value,
     get_system,
@@ -366,6 +368,8 @@ def test_rejects_a_base_that_is_not_crystallographic(simples, form):
 @pytest.mark.parametrize("simples,match", [
     ([(1, 0, 0), (0, 1, 1)], "not connected"),  # A1 x A1, two lengths
     ([(1, 0), (0, 1)], "dominant root"),  # A1 x A1, one length
+    # G2 x A1, with the A1 root of a third length
+    ([(1, -1, 0, 0), (-2, 1, 1, 0), (0, 0, 0, 2)], "more than two root lengths"),
 ])
 def test_rejects_a_reducible_base(simples, match):
     dim = len(simples[0])
@@ -456,6 +460,142 @@ def test_closure_of_affine_cartan_matrix_stops():
     # alpha_1 = -alpha_0 on a line: the Cartan matrix is affine A1's.
     with pytest.raises(ValueError, match="did not terminate"):
         RootSystem(CartanType("A", 2), [(1,), (-1,)], [[1]])
+
+
+@pytest.mark.parametrize("simples,form,match", [
+    ([(1, 0), (0, 1)], [[2, 1], [1, 2]], "not a generalized Cartan matrix"),
+    ([(1, 0), (0, 1)], [[1, 1], [0, 1]], "form is not symmetric"),
+])
+def test_constructor_names_what_is_wrong(simples, form, match):
+    with pytest.raises(ValueError, match=match):
+        RootSystem(CartanType("A", len(simples)), simples, form)
+
+
+def test_symmetrizer_refuses_a_matrix_that_is_not_connected():
+    with pytest.raises(ValueError, match="Cartan matrix is not connected"):
+        symmetrizer([[2, 0], [0, 2]])
+
+
+def _det(m) -> Fraction:
+    """Exact determinant by Gaussian elimination over Fractions."""
+    m = [[Q(x) for x in row] for row in m]
+    n, out = len(m), Q(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return Q(0)
+        if piv != col:
+            m[col], m[piv], out = m[piv], m[col], -out
+        out *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return out
+
+
+def _finite_type(gram) -> bool:
+    """Whether the Gram matrix of a base is that of a finite irreducible root
+    system, decided without the engine: every 2 B_ij / B_jj is an integer, no
+    two simple roots are at an acute angle, the diagram is connected and the
+    form is positive definite (every leading minor > 0, Sylvester). Takes a
+    positive diagonal."""
+    n = len(gram)
+    if any(2 * gram[i][j] % gram[j][j] for i in range(n) for j in range(n)):
+        return False
+    if any(gram[i][j] > 0 for i in range(n) for j in range(n) if i != j):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if gram[i][j] and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == n and all(_det([row[:k] for row in gram[:k]]) > 0
+                                  for k in range(1, n + 1))
+
+
+def _assert_what_the_closure_cannot_fail(s):
+    coeffs = set(s.coeffs)
+    for c, q in zip(s.coeffs, s.sq_lengths):
+        assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
+        assert any(c)
+        assert tuple(-x for x in c) in coeffs
+        assert tuple(2 * x for x in c) not in coeffs
+        assert q > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_bases_build_iff_of_finite_type(seed):
+    """Seeded symmetric integer Gram matrices of rank 2-5 on the base e_i: a
+    base builds iff an independent oracle calls it finite type, and every
+    system that builds has the properties the constructor no longer checks."""
+    rng = random.Random(seed)
+    built = 0
+    for _ in range(1000):
+        n = rng.randint(2, 5)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.choice((2, 4, 6))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.choice((0, -1, -2, -3, 1))
+        simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        if not _finite_type(gram):
+            with pytest.raises(ValueError):
+                RootSystem(CartanType("A", n), simples, gram)
+            continue
+        s = RootSystem(CartanType("A", n), simples, gram)
+        _assert_what_the_closure_cannot_fail(s)
+        built += 1
+    assert built >= 10
+
+
+@pytest.mark.parametrize("gram", [
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2
+    [[2, -2], [-2, 2]],  # affine A1
+    [[2, -3], [-3, 2]],  # hyperbolic
+])
+def test_infinite_type_bases_do_not_terminate(gram):
+    assert not _finite_type(gram)
+    n = len(gram)
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    with pytest.raises(ValueError, match="did not terminate"):
+        RootSystem(CartanType("A", n), simples, gram)
+
+
+@pytest.mark.parametrize("name", type_names(8))
+def test_diagram_half_of_the_orbit_lemma(name):
+    """PAPER.md's lemma, read on the Dynkin diagram: rank - 1 bonds join the
+    nodes, a simply-laced type has only single bonds, and any other type
+    exactly one multiple bond, double in B, C and F4 and triple in G2."""
+    for model in (get_system(name), closure_system(name)):
+        for s in (model, dual_system(model)):
+            a = s.cartan
+            bonds = [a[i][j] * a[j][i] for i in range(s.rank) for j in range(i)]
+            assert set(bonds) <= {0, 1, 2, 3}
+            assert sum(map(bool, bonds)) == s.rank - 1
+            multiple = [b for b in bonds if b > 1]
+            if name[0] in "ADE":
+                assert multiple == []
+            else:
+                assert multiple == [3 if name == "G2" else 2]
+
+
+@pytest.mark.parametrize("name", type_names(4) + ["E6"])
+def test_orbit_half_of_the_orbit_lemma(name):
+    """PAPER.md's lemma, read on the roots: the W-orbit of a simple root,
+    found by an ambient search, is every root of its length, so there are as
+    many orbits as lengths."""
+    for s in (get_system(name), dual_system(get_system(name))):
+        lengths = {}
+        for b in s.roots:
+            lengths.setdefault(form_value(s.form, b, b), set()).add(b)
+        orbits = set()
+        for a in s.simples:
+            orbit = frozenset(ambient_orbit(s, a, range(s.rank)))
+            assert orbit == lengths[form_value(s.form, a, a)]
+            orbits.add(orbit)
+        assert len(orbits) == len(lengths)
 
 
 def test_constructor_names_the_expected_length():
