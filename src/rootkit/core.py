@@ -16,7 +16,8 @@ minimal positive-integer symmetrization of the Cartan matrix as the form;
 ``closure_system`` returns that model for every family; ``dual_system`` reruns
 the closure on the simple coroots. Roots are sorted by the height of the
 positive representative, then on their integer numerators, so indices, orbits
-and serialized reports are reproducible across runs.
+and serialized reports are reproducible across runs. No caller names the
+Cartan type of a base: ``RootSystem`` reads it off the closure.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def symmetrizer(cartan) -> tuple[int, ...]:
             if j != i and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * cartan[j][i] / cartan[i][j]
                 stack.append(j)
-    if any(x is None for x in d):
-        raise ValueError("Cartan matrix is not connected")
+    if not n or any(x is None for x in d):
+        raise ValueError("Cartan matrix is not connected" if n else "Cartan matrix is empty")
     if min(d) <= 0 or any(cartan[i][j] * d[j] != cartan[j][i] * d[i]
                           for i in range(n) for j in range(i)):
         raise ValueError(f"Cartan matrix {cartan} is not symmetrizable")
@@ -159,9 +160,9 @@ class RootSystem:
     """Immutable bundle of roots, base, form and integer tables.
 
     Built by ``build_system``, ``closure_system`` or ``dual_system`` from a
-    type, a base and a form; the Cartan matrix ``cartan``, A[i][j] = 2
-    (alpha_i, alpha_j) / (alpha_j, alpha_j), is read off the base's integer
-    Gram matrix. The roots are the reflection closure of the base: a root's
+    base and a form; the Cartan matrix ``cartan``, A[i][j] = 2 (alpha_i,
+    alpha_j) / (alpha_j, alpha_j), is read off the base's integer Gram
+    matrix. The roots are the reflection closure of the base: a root's
     integer state is its pairings with the simple coroots, its numerators over
     ``_den`` and its base coefficients, and s_j subtracts the j-th pairing
     times sparse row j (Cartan row j, den * simples[j], e_j) once the image's
@@ -188,12 +189,15 @@ class RootSystem:
     the roots are A's real roots, each positive or negative, and no multiple
     but -beta of a root beta is one (Kac, Infinite-dimensional Lie Algebras,
     1.3 and Prop. 5.1). An acute pair, A[i][j] > 0, would give the mixed-sign
-    root s_j(alpha_i) = alpha_i - A[i][j] alpha_j.
+    root s_j(alpha_i) = alpha_i - A[i][j] alpha_j. An empty base is refused,
+    and the type ``ctype`` is read off the closure once it is known to be
+    finite and irreducible.
     """
 
-    def __init__(self, ctype: CartanType, simples, form):
-        self.ctype = ctype
+    def __init__(self, simples, form):
         self.rank = n = len(simples)
+        if not n:
+            raise ValueError("the base is empty")
         self.form = linalg.matrix(form)
         self.dim = len(self.form)
         self.simples = tuple(vector(v, self.dim) for v in simples)
@@ -305,6 +309,16 @@ class RootSystem:
             raise ValueError("Cartan matrix is not connected")
         self.highest_root = self.roots[self.highest_index]
         self.highest_short = self.roots[self.highest_short_index]
+        # The type, read off the closure (Bourbaki, Plates I-IX): the root
+        # count tells A, D and E apart; else G2 has lengths in ratio 3, and
+        # B has n - 1 long simple roots (B2 too), C one and F4 two.
+        count, long_ = len(states), d.count(max(d))
+        if long_ == n:
+            fam = "A" if count == n * (n + 1) else "D" if count == 2 * n * (n - 1) else "E"
+        else:
+            fam = ("G" if max(d) == 3 * min(d) else "B" if long_ == n - 1
+                   else "C" if long_ == 1 else "F")
+        self.ctype = CartanType(fam, n)
 
     # -- lookups ---------------------------------------------------------
 
@@ -352,7 +366,7 @@ class RootSystem:
     def dual(self) -> "RootSystem":
         """The system of coroots; see ``dual_system``."""
         simples = [coroot(self, a) for a in self.simples]
-        return RootSystem(_dual_ctype(self.ctype), simples, self.form)
+        return RootSystem(simples, self.form)
 
     @cached_property
     def fundamental_weights(self) -> tuple[Vector, ...]:
@@ -405,16 +419,11 @@ def _classical_data(ctype: CartanType):
         roots = list(_signed_pairs(n))
         chain = [tuple(int(k == i) - int(k == i + 1) for k in range(n))
                  for i in range(n - 1)]
-        if fam == "B":
-            for i in range(n):
-                for s in (1, -1):
-                    roots.append(tuple(s * int(k == i) for k in range(n)))
-            simples = chain + [tuple(int(k == n - 1) for k in range(n))]
-        elif fam == "C":
-            for i in range(n):
-                for s in (2, -2):
-                    roots.append(tuple(s * int(k == i) for k in range(n)))
-            simples = chain + [tuple(2 * int(k == n - 1) for k in range(n))]
+        if fam in "BC":  # +-e_i in B, +-2e_i in C
+            m = 1 if fam == "B" else 2
+            roots += [tuple(s * int(k == i) for k in range(n))
+                      for i in range(n) for s in (m, -m)]
+            simples = chain + [tuple(m * int(k == n - 1) for k in range(n))]
         else:
             simples = chain + [tuple(int(k >= n - 2) for k in range(n))]
         return n, simples, roots
@@ -443,7 +452,7 @@ def build_system(ctype: CartanType | str) -> RootSystem:
         return closure_system(ctype)
     dim, simples, textbook = _classical_data(ctype)
     form = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    s = RootSystem(ctype, simples, form)
+    s = RootSystem(simples, form)
     if s.cartan != cartan_matrix(ctype):
         raise ValueError(f"{ctype}: the simple roots are not in Bourbaki order")
     if s._index.keys() != {tuple(s._den * x for x in r) for r in textbook}:
@@ -466,7 +475,7 @@ def closure_system(ctype: CartanType | str) -> RootSystem:
     d = symmetrizer(a)
     form = [[Fraction(a[i][j] * d[j]) for j in range(n)] for i in range(n)]
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return RootSystem(ctype, simples, form)
+    return RootSystem(simples, form)
 
 
 # -- operations ------------------------------------------------------------
@@ -485,24 +494,14 @@ def pairing(s: RootSystem, chi, beta) -> Fraction:
     return rational[sum(map(mul, dual, state[:s.rank])) * s._den]
 
 
-_DUAL_FAMILY_SWAP = {"B": "C", "C": "B"}
-
-
-def _dual_ctype(ctype: CartanType) -> CartanType:
-    # B2 stays B2: its abstract dual C2 is outside the admissible ranks,
-    # and B2 and C2 are isomorphic anyway.
-    if ctype.family in _DUAL_FAMILY_SWAP and ctype.rank >= 3:
-        return CartanType(_DUAL_FAMILY_SWAP[ctype.family], ctype.rank)
-    return ctype
-
-
 def dual_system(s: RootSystem) -> RootSystem:
     """The root system of coroots, with the same form.
 
     The base is the coroots of the original base in matching index order
     (the numbering follows the primal system, not the dual's own Bourbaki
-    convention), so the Cartan matrix read off it is the transpose. Applying
-    dual_system twice returns the original root set and tables.
+    convention), so the Cartan matrix read off it is the transpose; its type,
+    read off its closure, swaps B_n and C_n for n >= 3. Applying dual_system
+    twice returns the original root set and tables.
     """
     return s.dual
 

@@ -12,7 +12,9 @@ timeout and prints ``caught`` or ``MISSED``. So one run tests one tree, even
 if the checkout changes meanwhile. Exits 1 on any miss, timeout or error.
 
 Not collected by pytest on purpose: each mutation costs a pytest run. A
-change that finds a new way to break the engine adds its mutation here.
+change that finds a new way to break the engine adds its mutation here;
+``tests/test_mutants.py`` checks, in tier-1, that every text still occurs
+once and every named test file exists.
 """
 
 from __future__ import annotations
@@ -217,6 +219,16 @@ MUTATIONS = {
         "word = WeylWord(tuple(letters))",
         "word = WeylWord(tuple(letters) + tuple(letters[:1]) * 2)",
         ["tests/test_digests.py"]),
+    "G2 test dropped": (
+        "core.py",
+        '"G" if max(d) == 3 * min(d)',
+        '"G" if False',
+        ["tests/test_core.py", "-k", "type_read_off"]),
+    "D root count test dropped": (
+        "core.py",
+        '"D" if count == 2 * n * (n - 1)',
+        '"D" if False',
+        ["tests/test_core.py", "-k", "type_read_off"]),
     "dominant_rep appends i, i, i": (
         "weyl.py",
         "applied.append(i)",

@@ -11,10 +11,13 @@ import pytest
 from helpers import (
     IdentityRow,
     ambient_orbit,
+    dot,
     form_value,
     get_system,
+    mat_vec,
     random_weight_vectors,
     raw_pairing,
+    solve_base_coefficients,
     type_names,
     vadd,
     vneg,
@@ -452,6 +455,28 @@ class TestVerifyTheorem:
             assert row.dom_eq_levi_dom == (dom_full == dom_levi)
             if row.dom_eq_levi_dom:
                 assert row.witness == levi_word
+
+    def test_p3_iff_the_dominant_root_has_coefficient_one(self):
+        # The parabolic shape lemma's corollary: the Levi orbit of alpha_i is
+        # the roots of its length with alpha_i coefficient 1, so P3 holds iff
+        # the dominant root of alpha_i's length has coefficient 1 there. The
+        # dominant root is found by an ambient search, one per length.
+        rows = 0
+        for name in type_names(8):
+            s = get_system(name)
+            walls = [mat_vec(s.form, a) for a in s.simples]
+            dominant = {}
+            for i, a in enumerate(s.simples):
+                q = form_value(s.form, a, a)
+                if q not in dominant:
+                    top = [b for b in ambient_orbit(s, a, range(s.rank))
+                           if all(dot(b, w) >= 0 for w in walls)]
+                    assert len(top) == 1, (name, i)
+                    dominant[q] = solve_base_coefficients(s.simples, s.form, top)[0]
+                row = primal_report(name).rows[i]
+                assert row.dom_eq_levi_dom == (dominant[q][i] == 1), (name, i)
+                rows += 1
+        assert rows == 161
 
     def test_p3_stays_on_the_root_tables(self, monkeypatch):
         import rootkit.weyl as weyl

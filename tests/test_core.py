@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -27,6 +28,7 @@ from rootkit import (
     ParseError,
     RootSystem,
     admissible_types,
+    build_system,
     cartan_matrix,
     closure_system,
     coroot,
@@ -362,7 +364,7 @@ def test_build_rejects_a_base_out_of_bourbaki_order(monkeypatch, name, order):
 ])
 def test_rejects_a_base_that_is_not_crystallographic(simples, form):
     with pytest.raises(ValueError, match="not crystallographic"):
-        RootSystem(CartanType("A", len(simples)), simples, form)
+        RootSystem(simples, form)
 
 
 @pytest.mark.parametrize("simples,match", [
@@ -375,7 +377,7 @@ def test_rejects_a_reducible_base(simples, match):
     dim = len(simples[0])
     form = [[int(i == j) for j in range(dim)] for i in range(dim)]
     with pytest.raises(ValueError, match=match):
-        RootSystem(CartanType("A", 2), simples, form)
+        RootSystem(simples, form)
 
 
 @pytest.mark.parametrize("cartan", [
@@ -449,17 +451,18 @@ def test_form_over_a_denominator(name):
     """The form enters over one denominator; no built system has one other
     than 1, so scale it by 1/3: every integer table stays, the lengths scale."""
     s = get_system(name)
-    t = RootSystem(s.ctype, s.simples, [[x / 3 for x in row] for row in s.form])
+    t = RootSystem(s.simples, [[x / 3 for x in row] for row in s.form])
     for attr in ("coeffs", "heights", "pairings", "reflections", "negations",
                  "dual_coeffs", "steps", "_pair_rows", "_pair_den"):
         assert getattr(t, attr) == getattr(s, attr), attr
     assert t.sq_lengths == tuple(q / 3 for q in s.sq_lengths)
+    assert t.ctype == s.ctype
 
 
 def test_closure_of_affine_cartan_matrix_stops():
     # alpha_1 = -alpha_0 on a line: the Cartan matrix is affine A1's.
     with pytest.raises(ValueError, match="did not terminate"):
-        RootSystem(CartanType("A", 2), [(1,), (-1,)], [[1]])
+        RootSystem([(1,), (-1,)], [[1]])
 
 
 @pytest.mark.parametrize("simples,form,match", [
@@ -468,12 +471,22 @@ def test_closure_of_affine_cartan_matrix_stops():
 ])
 def test_constructor_names_what_is_wrong(simples, form, match):
     with pytest.raises(ValueError, match=match):
-        RootSystem(CartanType("A", len(simples)), simples, form)
+        RootSystem(simples, form)
 
 
 def test_symmetrizer_refuses_a_matrix_that_is_not_connected():
     with pytest.raises(ValueError, match="Cartan matrix is not connected"):
         symmetrizer([[2, 0], [0, 2]])
+
+
+def test_symmetrizer_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match="Cartan matrix is empty"):
+        symmetrizer([])
+
+
+def test_constructor_refuses_an_empty_base():
+    with pytest.raises(ValueError, match="base is empty"):
+        RootSystem([], [])
 
 
 def _det(m) -> Fraction:
@@ -525,6 +538,13 @@ def _assert_what_the_closure_cannot_fail(s):
         assert q > 0
 
 
+def _same_up_to_numbering(a, b) -> bool:
+    """Whether renumbering the simple roots turns Cartan matrix a into b."""
+    n = len(a)
+    return any(all(a[p[i]][p[j]] == b[i][j] for i in range(n) for j in range(n))
+               for p in permutations(range(n)))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_bases_build_iff_of_finite_type(seed):
     """Seeded symmetric integer Gram matrices of rank 2-5 on the base e_i: a
@@ -542,10 +562,11 @@ def test_random_bases_build_iff_of_finite_type(seed):
         simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         if not _finite_type(gram):
             with pytest.raises(ValueError):
-                RootSystem(CartanType("A", n), simples, gram)
+                RootSystem(simples, gram)
             continue
-        s = RootSystem(CartanType("A", n), simples, gram)
+        s = RootSystem(simples, gram)
         _assert_what_the_closure_cannot_fail(s)
+        assert _same_up_to_numbering(s.cartan, cartan_matrix(s.ctype)), gram
         built += 1
     assert built >= 10
 
@@ -560,7 +581,7 @@ def test_infinite_type_bases_do_not_terminate(gram):
     n = len(gram)
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     with pytest.raises(ValueError, match="did not terminate"):
-        RootSystem(CartanType("A", n), simples, gram)
+        RootSystem(simples, gram)
 
 
 @pytest.mark.parametrize("name", type_names(8))
@@ -601,6 +622,39 @@ def test_orbit_half_of_the_orbit_lemma(name):
 def test_constructor_names_the_expected_length():
     s = get_system("A3")
     with pytest.raises(ValueError, match="3 entries, expected 4"):
-        RootSystem(s.ctype, [v[:3] for v in s.simples], s.form)
+        RootSystem([v[:3] for v in s.simples], s.form)
     with pytest.raises(ValueError, match="3 entries, expected 4"):
-        RootSystem(s.ctype, s.simples, [row[:3] for row in s.form])
+        RootSystem(s.simples, [row[:3] for row in s.form])
+
+
+# The duals' labels: B_n and C_n swap from rank 3 on; B2, F4, G2 and every
+# A, D and E type are their own duals.
+_DUAL_LABELS = {
+    "B3": "C3", "B4": "C4", "B5": "C5", "B6": "C6", "B7": "C7", "B8": "C8",
+    "B9": "C9", "B10": "C10", "B11": "C11", "B12": "C12",
+    "C3": "B3", "C4": "B4", "C5": "B5", "C6": "B6", "C7": "B7", "C8": "B8",
+    "C9": "B9", "C10": "B10", "C11": "B11", "C12": "B12",
+}
+
+
+@pytest.mark.parametrize("name", type_names(12))
+def test_type_read_off_the_closure(name):
+    """No caller names the type: both models of every type up to rank 12
+    get their own label, their duals the dual's and the double duals theirs
+    back."""
+    dual = _DUAL_LABELS.get(name, name)
+    for s in (build_system(name), closure_system(name)):
+        labels = [s.ctype, s.dual.ctype, s.dual.dual.ctype]
+        assert [str(t) for t in labels] == [name, dual, name]
+
+
+@pytest.mark.parametrize("name", type_names(8))
+def test_type_read_off_a_shuffled_base(name):
+    """The label does not depend on the numbering of the base: the closure
+    model's simple roots, shuffled, give the same type."""
+    s = closure_system(name)
+    rng = random.Random(7)
+    for _ in range(3):
+        simples = list(s.simples)
+        rng.shuffle(simples)
+        assert RootSystem(simples, s.form).ctype == s.ctype
