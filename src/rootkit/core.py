@@ -133,6 +133,8 @@ def symmetrizer(cartan) -> tuple[int, ...]:
     that is not connected or not symmetrizable raises ValueError.
     """
     n = len(cartan)
+    if any(len(row) != n for row in cartan):
+        raise ValueError(f"Cartan matrix {cartan} is not symmetrizable: it is not square")
     d: list[Fraction | None] = [Fraction(1)] + [None] * (n - 1)
     stack = [0]
     while stack:
@@ -214,7 +216,11 @@ class RootSystem:
         gsimple = [[sum(f * x for f, x in zip(row, v)) for row in fnum] for v in num]
         gram = [[sum(x * y for x, y in zip(u, g)) for g in gsimple] for u in num]
         d = [gram[j][j] for j in range(n)]
-        if min(d) <= 0 or any(2 * gram[i][j] % d[j] for i in range(n) for j in range(n)):
+        nonpositive = [j for j in range(n) if d[j] <= 0]
+        if nonpositive:
+            raise ValueError(f"base is not crystallographic: simple root {nonpositive[0]} "
+                             "has length <= 0")
+        if any(2 * gram[i][j] % d[j] for i in range(n) for j in range(n)):
             raise ValueError("base is not crystallographic: some A[i][j] is not an integer")
         self.cartan = a = tuple(tuple(2 * gram[i][j] // d[j] for j in range(n))
                                 for i in range(n))
@@ -351,12 +357,6 @@ class RootSystem:
         state = (tuple(sum(map(mul, row, num)) for row in self._pair_rows)
                  + tuple(t * x for x in num))
         return state, linalg.Rationals(t * q)
-
-    def pair_simple(self, v, i: int) -> Fraction:
-        """<v, alpha_i^v>, exact, read on v's state."""
-        i = self.check_simple_index(i)
-        state, rational = self.state(v)
-        return rational[state[i] * self._den]
 
     @property
     def is_simply_laced(self) -> bool:

@@ -76,18 +76,14 @@ def levi_conjugator(s: RootSystem, i: int, beta) -> WitnessResult:
 def dominant_witness(s: RootSystem, i: int) -> WitnessResult:
     """Word avoiding alpha_i that maps alpha_i to its dominant conjugate.
 
-    The descent starts at the highest root for a special root (always long)
-    and at the highest short root for a co-special, non-special one (always
-    short): <beta, alpha_j^v> has the sign of the dual pairing of beta^v, so
-    the walk picks the letters of the descent on coroots.
+    Two roots of a reduced irreducible system are W-conjugate iff they have
+    the same length, so the dominant conjugate is the dominant root of
+    alpha_i's length, and the descent starts there. <beta, alpha_j^v> has the
+    sign of the dual pairing of beta^v, so the walk picks the letters of the
+    descent on coroots.
     """
-    if is_special(s, i):
-        return _descend(s, i, s.highest_index)
-    if is_cospecial(s, i):
-        start = s.highest_short_index
-        if s.sq_lengths[start] != s.sq_lengths[s.simple_indices[i]]:
-            raise InvariantViolation(
-                f"alpha_{i} is not as long as the highest short root")
-        return _descend(s, i, start)
-    raise NeitherSpecialNorCospecial(
-        f"simple root {i} of {s.ctype} is neither special nor co-special")
+    if not (is_special(s, i) or is_cospecial(s, i)):
+        raise NeitherSpecialNorCospecial(
+            f"simple root {i} of {s.ctype} is neither special nor co-special")
+    long_ = s.sq_lengths[s.simple_indices[i]] == s.max_sq_length
+    return _descend(s, i, s.highest_index if long_ else s.highest_short_index)

@@ -135,9 +135,14 @@ MUTATIONS = {
         ["tests/test_classify.py", "-k", "levi_violations"]),
     "co-special start at the highest root": (
         "witness.py",
-        "start = s.highest_short_index",
-        "start = s.highest_index",
+        "s.highest_index if long_ else s.highest_short_index",
+        "s.highest_index",
         ["tests/test_witness.py"]),
+    "witness start ignores length": (
+        "witness.py",
+        "if long_ else",
+        "if not long_ else",
+        ["tests/test_classify.py", "-k", "p3_iff_the_dominant_root"]),
     "walk's height check dropped": (
         "classify.py",
         "if s.heights[nxt] >= s.heights[idx]:",

@@ -384,6 +384,7 @@ def test_rejects_a_reducible_base(simples, match):
     [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],  # a tree sets d; edge (1, 2) disagrees
     [[2, -1], [1, 2]],  # d_1 = -1
     [[2, -1], [0, 2]],  # d_1 = 0
+    [[2, -1]],  # not square: edge (0, 1) has no row 1
 ])
 def test_symmetrizer_checks_every_edge(cartan):
     with pytest.raises(ValueError, match=r"Cartan matrix \[\[2, -1.*not symmetrizable"):
@@ -468,6 +469,9 @@ def test_closure_of_affine_cartan_matrix_stops():
 @pytest.mark.parametrize("simples,form,match", [
     ([(1, 0), (0, 1)], [[2, 1], [1, 2]], "not a generalized Cartan matrix"),
     ([(1, 0), (0, 1)], [[1, 1], [0, 1]], "form is not symmetric"),
+    ([(1, 0), (-1, 2)], [[1, 0], [0, 1]], r"not crystallographic: some A\[i\]\[j\] is not"),
+    ([(1,)], [[-1]], "not crystallographic: simple root 0 has length <= 0"),
+    ([(1, 0)], [[0, 0], [0, 0]], "not crystallographic: simple root 0 has length <= 0"),
 ])
 def test_constructor_names_what_is_wrong(simples, form, match):
     with pytest.raises(ValueError, match=match):

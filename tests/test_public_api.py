@@ -1,6 +1,7 @@
 """The public names: ``rootkit.__all__`` is pinned, every name resolves, the
-README's library example imports only public names and runs, and no module
-but ``core`` touches another object's private attributes."""
+README's library example imports only public names and runs, every system
+attribute the README names exists, and no module but ``core`` touches another
+object's private attributes."""
 
 import ast
 import re
@@ -50,6 +51,16 @@ def test_readme_library_example_runs():
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_system_attributes_resolve():
+    # Every `RootSystem.<name>` and `s.<name>` the README mentions is an
+    # attribute of a built system, so a deleted one cannot stay documented.
+    text = README.read_text(encoding="utf-8")
+    names = set(re.findall(r"`(?:RootSystem|s)\.(\w+)", text))
+    assert {"state", "index", "dim"} <= names
+    s = rootkit.build_system("B3")
+    assert sorted(n for n in names if not hasattr(s, n)) == []
 
 
 def private_attribute_uses(source: str) -> list[tuple[int, str]]:

@@ -27,20 +27,16 @@ from rootkit import (
     BadIndex,
     InvariantViolation,
     LengthClass,
-    RootSystem,
     WeylWord,
     apply_word,
     build_system,
     dominant_rep,
-    dominant_witness,
     full_base,
     fundamental_weight,
     height,
     highest_roots,
-    is_cospecial,
     is_dominant,
     is_quasi_constant,
-    is_special,
     length_class,
     levi_subset,
     multiplicities,
@@ -87,12 +83,6 @@ class TestReflect:
         with pytest.raises(BadIndex):
             reflect(s, -1, s.simples[0])
 
-    @pytest.mark.parametrize("i", [-1, True, 5])
-    def test_pair_simple_bad_index(self, i):
-        s = get_system("A2")
-        with pytest.raises(BadIndex):
-            s.pair_simple((1, -1, 0), i)
-
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     @pytest.mark.parametrize("name", type_names(8))
     def test_matches_textbook_formula(self, name, dual):
@@ -133,7 +123,6 @@ _ARITHMETIC_CALLS = {
     "is_dominant": lambda s, v: is_dominant(s, v, full_base(s)),
     "is_quasi_constant": is_quasi_constant,
     "pairing": lambda s, v: pairing(s, v, s.simples[0]),
-    "pair_simple": lambda s, v: s.pair_simple(v, 0),
 }
 # Public entry points that coerce a vector argument through linalg.vector.
 _VECTOR_CALLS = dict(_ARITHMETIC_CALLS, index=lambda s, v: s.index(v))
@@ -529,33 +518,6 @@ def test_orbit_and_dominant_rep_reflect_no_ambient_vector(monkeypatch):
     want = results()
     for name in ("reflect", "apply_word"):
         monkeypatch.setattr(weyl, name, refuse)
-    assert results() == want
-
-
-def test_weyl_reads_the_pairing_table(monkeypatch):
-    # Same results and witness trails for the 31 types while
-    # RootSystem.pair_simple refuses to run: every operation on a caller's
-    # vector reads the integer pairing rows the system built once.
-    def refuse(*args):
-        raise AssertionError("paired through RootSystem.pair_simple")
-
-    def results():
-        out = []
-        for name in type_names(8):
-            s = get_system(name)
-            half = tuple(x / 2 for x in s.simples[-1])
-            v = random_weight_vectors(s, 1, seed=47)[0]
-            for subset in (full_base(s), levi_subset(s, 0)):
-                out.append(orbit(s, half, subset).elements)
-                out.append(dominant_rep(s, v, subset))
-                out.append(is_dominant(s, v, subset))
-            out.append(apply_word(s, WeylWord(tuple(range(s.rank)) * 2), v))
-            out.extend(dominant_witness(s, i).trail for i in range(s.rank)
-                       if is_special(s, i) or is_cospecial(s, i))
-        return out
-
-    want = results()
-    monkeypatch.setattr(RootSystem, "pair_simple", refuse)
     assert results() == want
 
 

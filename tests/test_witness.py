@@ -266,5 +266,5 @@ class TestInvariantViolations:
     def test_cospecial_target_checked(self, monkeypatch):
         s = get_system("B3")
         monkeypatch.setattr(s, "highest_short_index", s.highest_index)
-        with pytest.raises(InvariantViolation, match="highest short root"):
+        with pytest.raises(InvariantViolation, match="stalled"):
             dominant_witness(s, 2)
