@@ -7,13 +7,12 @@ by deleting one index). Every operation on a caller's vector enters
 from ``RootSystem.state``. ``linalg.step`` by the step row ``s.steps[i]``
 updates the pairings and reflects the coordinates at its nonzero positions.
 ``orbit`` keys each step on the packed pairings, builds a state only for an
-unseen conjugate and holds only the seen keys, the unexpanded states and the
-result. apply_word steps once per letter; reflect is its one-letter word.
+unseen conjugate and keeps only three breadth-first levels of keys.
+apply_word steps once per letter; reflect is its one-letter word.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,6 +49,8 @@ class WeylWord:
         return iter(self.letters)
 
     def __add__(self, other: "WeylWord") -> "WeylWord":
+        if not isinstance(other, WeylWord):
+            return NotImplemented
         return WeylWord(self.letters + other.letters)
 
     def avoids(self, i: int) -> bool:
@@ -103,6 +104,8 @@ def apply_word(s: RootSystem, word: WeylWord, v) -> Vector:
     apply_word(w1 + w2, v) == apply_word(w1, apply_word(w2, v)); the empty
     word is the identity.
     """
+    if not isinstance(word, WeylWord):
+        raise TypeError(f"apply_word takes a WeylWord, not {word!r}")
     return _replay(s, word, v)[-1]
 
 
@@ -141,8 +144,9 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     as integer combinations of v's, are multiples of their gcd g: g times a
     key in balanced base 2M/g + 1 packs them, and s_i subtracts
     r*<w, alpha_i^v> times the packed Cartan row i. Only a new key gets a
-    state; the walk holds the seen keys, the frontier and the result, one
-    Fraction per value.
+    state. A moving step changes #{beta in Phi_J^+ : <w, beta^v> < 0} by
+    one (``dominant_rep``), so it joins consecutive levels, at most
+    |Phi_J^+| + 1: level d - 1's keys are dropped once level d is expanded.
     """
     gens, start, rational = _start(s, v, subset)
     n = s.rank
@@ -151,21 +155,27 @@ def orbit(s: RootSystem, v, subset: Subset) -> Orbit:
     packed = [sum(x * base ** j for j, x in enumerate(row)) for row in s.cartan]
     key = sum(x * base ** j for j, x in enumerate(start[:n]))
     seen = {key}
-    queue = deque([(key, start)])  # the states not yet expanded
+    behind, keys, states = [], [key], [start]  # levels d - 1 and d
     elements = [rational.vector(start[n:])]
-    while queue:
-        key, state = queue.popleft()
-        for i in gens:
-            c = state[i]
-            if c == 0:
-                continue  # s_i fixes this element
-            new = key - c * packed[i]
-            if new not in seen:
-                seen.add(new)
-                state_new = step(state, c, s.steps[i])
-                queue.append((new, state_new))
-                elements.append(rational.vector(state_new[n:]))
-    return Orbit(tuple(elements), frozenset(gens))
+    for _ in range(len(s.positives) + 2):
+        if not keys:
+            return Orbit(tuple(elements), frozenset(gens))
+        ahead, ahead_states = [], []  # level d + 1
+        for key, state in zip(keys, states):
+            for i in gens:
+                c = state[i]
+                if c == 0:
+                    continue  # s_i fixes this element
+                new = key - c * packed[i]
+                if new not in seen:
+                    seen.add(new)
+                    state_new = step(state, c, s.steps[i])
+                    ahead.append(new)
+                    ahead_states.append(state_new)
+                    elements.append(rational.vector(state_new[n:]))
+        seen.difference_update(behind)
+        behind, keys, states = keys, ahead, ahead_states
+    raise InvariantViolation("orbit walk has more levels than positive roots")
 
 
 def is_dominant(s: RootSystem, v, subset: Subset) -> bool:

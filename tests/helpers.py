@@ -104,6 +104,11 @@ def textbook_word(s: RootSystem, letters, v) -> list:
 
 
 def ambient_orbit(s: RootSystem, seed, subset) -> list:
+    """The conjugates of ``ambient_walk``, in breadth-first order."""
+    return ambient_walk(s, seed, subset)[0]
+
+
+def ambient_walk(s: RootSystem, seed, subset) -> tuple[list, list, list]:
     """Set-based BFS over ambient vectors, reflections from first principles.
 
     Uses only raw data (simple-root coordinates and the Gram matrix) and the
@@ -114,6 +119,9 @@ def ambient_orbit(s: RootSystem, seed, subset) -> list:
     whose common denominator is ``den``, so every conjugate lies in
     (1/scale)Z^dim once scale clears v and den times the simple roots. Each
     step asserts that its pairing times den is an integer.
+
+    Returns the conjugates in breadth-first order, the depth of each, and
+    every step that moves a conjugate as a pair of positions in that order.
     """
     gens = list(subset)
     seed = tuple(Fraction(x) for x in seed)
@@ -140,19 +148,22 @@ def ambient_orbit(s: RootSystem, seed, subset) -> list:
     norm = {i: sum(map(mul, a, gram(a))) for i, a in simples.items()}
     steps = {i: [x // den for x in a] for i, a in simples.items()}  # exact
     queue = [tuple(v0)]
-    seen = set(queue)
-    for v in queue:  # the list grows while it is walked
+    position = {queue[0]: 0}
+    depths, moves = [0], []
+    for p, v in enumerate(queue):  # the list grows while it is walked
         for i in gens:
             c, r = divmod(sum(map(mul, v, funcs[i])), norm[i])
             assert r == 0, "a pairing times den is not an integer"
             if c == 0:
                 continue  # reflection fixes v
             w = tuple([x - c * y for x, y in zip(v, steps[i])])
-            if w not in seen:
-                seen.add(w)
+            if w not in position:
+                position[w] = len(queue)
                 queue.append(w)
+                depths.append(depths[p] + 1)
+            moves.append((p, position[w]))
     rationals = {x: Fraction(x, scale) for w in queue for x in w}
-    return [tuple(rationals[x] for x in w) for w in queue]
+    return [tuple(rationals[x] for x in w) for w in queue], depths, moves
 
 
 def solve_base_coefficients(simples, form, vectors) -> list:

@@ -211,8 +211,18 @@ MUTATIONS = {
         ["tests/test_weyl.py"]),
     "orbit pops the newest state": (
         "weyl.py",
-        "queue.popleft()",
-        "queue.pop()",
+        "zip(keys, states)",
+        "zip(keys[::-1], states[::-1])",
+        ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
+    "orbit forgets the level behind": (
+        "weyl.py",
+        "seen.difference_update(behind)",
+        "seen.difference_update(keys)",
+        ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
+    "orbit level bound one short": (
+        "weyl.py",
+        "range(len(s.positives) + 2)",
+        "range(len(s.positives) + 1)",
         ["tests/test_weyl.py", "-k", "TestOrbitOrder"]),
     "pairing reads base instead of dual coefficients": (
         "core.py",

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     ambient_orbit,
+    ambient_walk,
     dot,
     get_system,
     mat_vec,
@@ -113,6 +114,12 @@ class TestWeylWord:
     def test_keeps_int_letters(self):
         assert WeylWord([2, 0, 1]).letters == (2, 0, 1)
 
+    def test_adds_only_a_word(self):
+        with pytest.raises(TypeError):
+            WeylWord((0,)) + (1,)
+        with pytest.raises(TypeError):
+            (1,) + WeylWord((0,))
+
 
 # Public arithmetic on a caller's vector: each checks its length against s.dim.
 _ARITHMETIC_CALLS = {
@@ -192,6 +199,11 @@ class TestApplyWord:
         v = vec(Q(5, 3), 0, -2)
         for i in range(s.rank):
             assert apply_word(s, WeylWord((i, i)), v) == v
+
+    def test_refuses_a_tuple_for_a_word(self):
+        s = get_system("A2")
+        with pytest.raises(TypeError, match="WeylWord"):
+            apply_word(s, (0, 1), s.simples[0])
 
     def test_g2_single_letter(self):
         s = get_system("G2")
@@ -463,6 +475,42 @@ class TestOrbitOrder:
 
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     @pytest.mark.parametrize("name", type_names(8))
+    def test_steps_join_consecutive_levels(self, name, dual):
+        # orbit drops a level's keys by this lemma: a step that moves a
+        # conjugate changes by one the number of positive roots of the
+        # subset's span it pairs negatively with, so every step joins
+        # consecutive breadth-first levels, and no walk is deeper than that
+        # span's positive roots. A regular seed reaches that depth.
+        s = get_system(name).dual if dual else get_system(name)
+        coeffs = solve_base_coefficients(s.simples, s.form, s.positives)
+        coxeter = WeylWord(tuple(range(s.rank)))
+        seeds = [s.simples[0],
+                 apply_word(s, coxeter, fundamental_weight(s, s.rank - 1))]
+        if s.rank <= 4:
+            seeds.append(_generic_seed(s))
+        for subset in (full_base(s), levi_subset(s, 0),
+                       levi_subset(s, s.rank - 1)):
+            span = sum(all(x == 0 for j, x in enumerate(c) if j not in subset)
+                       for c in coeffs)
+            for v in seeds:
+                _, depths, moves = ambient_walk(s, v, sorted(subset))
+                assert all(abs(depths[p] - depths[q]) == 1 for p, q in moves)
+                assert max(depths) <= span
+            if s.rank <= 4:  # the last seed is regular
+                assert max(depths) == span
+
+    def test_a_walk_deeper_than_the_positive_roots_is_refused(self, monkeypatch):
+        # Step row 0 without its Cartan entries leaves the pairings as they
+        # were at every s_0 step while the key moves on, so the walk finds
+        # new keys at every level and never ends by itself.
+        s = build_system("A2")
+        row0 = tuple((p, x) for p, x in s.steps[0] if p >= s.rank)
+        monkeypatch.setattr(s, "steps", (row0,) + s.steps[1:])
+        with pytest.raises(InvariantViolation, match="levels"):
+            orbit(s, vneg(s.simples[0]), full_base(s))
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    @pytest.mark.parametrize("name", type_names(8))
     def test_pairing_bound_is_reached(self, name, dual):
         # For a dominant seed the largest |den*<w, alpha_j^v>| over its
         # orbit is <seed, highest coroot>, the packing bound M exactly.
@@ -475,13 +523,14 @@ class TestOrbitOrder:
         assert max(abs(den * p) for row in orbit_pairings for p in row) == bound
 
 
-def test_orbit_peak_memory_is_bounded_by_its_result():
-    # orbit holds the seen keys, the states not yet expanded and the result,
-    # not every state it found: on B5's 3,840 generic conjugates the peak
-    # traced during the call is at most 2.5 times what the Orbit retains.
+@pytest.mark.parametrize("name, size", [("B5", 3840), ("D6", 23040)])
+def test_orbit_peak_memory_is_bounded_by_its_result(name, size):
+    # orbit holds three breadth-first levels of keys, two of states and the
+    # result, not every key or state it found: on a generic orbit the peak
+    # traced during the call is at most twice what the Orbit retains.
     # A full collection empties the free lists, which would otherwise keep
     # freed tuples traced as if the Orbit held them.
-    s = get_system("B5")
+    s = get_system(name)
     v = _generic_seed(s)
     orbit(s, v, full_base(s))  # any first-use work happens outside the trace
     tracemalloc.start()
@@ -491,8 +540,8 @@ def test_orbit_peak_memory_is_bounded_by_its_result():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(o) == 3840
-    assert peak <= 2.5 * retained
+    assert len(o) == size
+    assert peak <= 2.0 * retained
 
 
 def test_orbit_and_dominant_rep_reflect_no_ambient_vector(monkeypatch):
