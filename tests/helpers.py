@@ -103,6 +103,38 @@ def textbook_word(s: RootSystem, letters, v) -> list:
     return out
 
 
+def textbook_positive_roots(name: str) -> set:
+    """The positive roots of A_n, B_n, C_n, D_n or G2 as Bourbaki's plates
+    list them (Plates I-IV and IX), in the plates' coordinates: e_1..e_{n+1}
+    for A_n and G2 (n = 2), e_1..e_n for B_n, C_n and D_n. Written from the
+    plates, not from the engine's simple roots."""
+    fam, n = name[0], int(name[1:])
+    if fam == "G":
+        return {(1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1),
+                (-1, -1, 2)}
+    dim = n + 1 if fam == "A" else n
+
+    def eps(*terms):  # sum of c * e_i over the (c, i) terms, i from 1
+        v = [0] * dim
+        for c, i in terms:
+            v[i - 1] += c
+        return tuple(v)
+
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    out = {eps((1, i), (-1, j)) for i, j in pairs}  # e_i - e_j, i < j
+    if fam in "BCD":
+        out |= {eps((1, i), (1, j)) for i, j in pairs}  # e_i + e_j
+    if fam in "BC":
+        out |= {eps((1 if fam == "B" else 2, i)) for i in range(1, n + 1)}
+    return out
+
+
+def textbook_roots(name: str) -> set:
+    """``textbook_positive_roots`` and their negatives."""
+    positives = textbook_positive_roots(name)
+    return positives | {vneg(b) for b in positives}
+
+
 def ambient_orbit(s: RootSystem, seed, subset) -> list:
     """The conjugates of ``ambient_walk``, in breadth-first order."""
     return ambient_walk(s, seed, subset)[0]

@@ -70,9 +70,9 @@ MUTATIONS = {
         ["tests/test_core.py"]),
     "highest root's support not checked": (
         "core.py",
-        "if 0 in self.coeffs[self.highest_index]:",
-        "if False:",
-        ["tests/test_core.py"]),
+        "symmetrizer(a)  # refuses a disconnected base",
+        "# refuses a disconnected base",
+        ["tests/test_core.py", "-k", "reducible"]),
     "highest and short roots swapped": (
         "core.py",
         "[self.highest_index], [self.highest_short_index] = dominant",
@@ -85,9 +85,14 @@ MUTATIONS = {
         ["tests/test_core.py", "-k", "what_is_wrong"]),
     "one dominant root per length unchecked": (
         "core.py",
-        "if any(len(ks) != 1 for ks in dominant):",
-        "if False:",
-        ["tests/test_core.py", "-k", "reducible"]),
+        "min(p) >= 0 and norms[k] == q]",
+        "min(p) >= 0]",
+        ["tests/test_core.py", "-k", "closure_facts"]),
+    "type A's simple roots doubled": (
+        "core.py",
+        "tuple(int(k == i) - int(k == i + 1) for k in range(n))",
+        "tuple(2 * int(k == i) - 2 * int(k == i + 1) for k in range(n))",
+        ["tests/test_core.py", "-k", "textbook"]),
     "dual coefficients off by one": (
         "core.py",
         "tuple(tuple(x // q for x in row) for row, q in nums)",
@@ -123,6 +128,11 @@ MUTATIONS = {
         "return next((j for j, p in enumerate(s.pairings[idx])",
         "return next((j for j, p in reversed(list(enumerate(s.pairings[idx])))",
         ["tests/test_digests.py"]),
+    "bad index unchecked in descent_blockers": (
+        "classify.py",
+        "s.check_simple_index(i)\n    simple = s.simple_indices[i]",
+        "simple = s.simple_indices[i]",
+        ["tests/test_classify.py", "-k", "bad_index"]),
     "return [] in descent_blockers": (
         "classify.py",
         "    simple = s.simple_indices[i]\n",

@@ -230,10 +230,11 @@ class TestSpecialCospecial:
 
     def test_bad_index(self):
         s = get_system("A2")
-        with pytest.raises(BadIndex):
-            is_special(s, 2)
-        with pytest.raises(BadIndex):
-            is_cospecial(s, -1)
+        for f in (is_special, is_cospecial, fundamental_weight, theorem_row,
+                  descent_blockers):
+            for i in (-1, s.rank):
+                with pytest.raises(BadIndex):
+                    f(s, i)
 
 
 class TestFundamentalWeight:
@@ -281,6 +282,13 @@ class TestQuasiConstant:
         s = get_system("G2")
         assert not is_quasi_constant(s, fundamental_weight(s, 0))
         assert not is_quasi_constant(s, fundamental_weight(s, 1))
+
+    def test_rational_strings_reach_the_scan(self):
+        """chi given as rational strings passes the simple-coroot test and is
+        scanned as the rationals it names."""
+        s = get_system("A2")
+        assert is_quasi_constant(s, ("2/3", "-1/3", "-1/3"))
+        assert not is_quasi_constant(s, ("1", "0", "-1"))
 
     @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2"])
     def test_scale_invariance(self, name):

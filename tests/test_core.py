@@ -14,6 +14,8 @@ from helpers import (
     mat_vec,
     raw_pairing,
     solve_base_coefficients,
+    textbook_positive_roots,
+    textbook_roots,
     type_names,
     vadd,
     vneg,
@@ -326,18 +328,13 @@ def test_integer_tables_match_ambient_oracle(name, dual):
     assert highest_roots(s) == (max(dominant)[1], min(dominant)[1])
 
 
-def test_build_rejects_embedding_off_textbook(monkeypatch):
-    import rootkit.core as core
-
-    real = core._classical_data
-
-    def wrong_list(ctype):
-        dim, simples, roots = real(ctype)
-        return dim, simples, roots[1:] + [tuple(2 * x for x in roots[0])]
-
-    monkeypatch.setattr(core, "_classical_data", wrong_list)
-    with pytest.raises(ValueError, match="textbook"):
-        core.build_system("B3")
+@pytest.mark.parametrize("name", [n for n in type_names(12) if n[0] in "ABCDG"])
+def test_build_matches_the_textbook_root_list(name):
+    """The standard-coordinate models are Bourbaki's: their roots and
+    positive roots, as sets, are the plates' lists."""
+    s = build_system(name)
+    assert set(s.roots) == textbook_roots(name)
+    assert set(s.positives) == textbook_positive_roots(name)
 
 
 @pytest.mark.parametrize("name,order", [("A3", (1, 0, 2)), ("B3", (2, 1, 0))])
@@ -349,8 +346,8 @@ def test_build_rejects_a_base_out_of_bourbaki_order(monkeypatch, name, order):
     real = core._classical_data
 
     def renumbered(ctype):
-        dim, simples, roots = real(ctype)
-        return dim, [simples[k] for k in order], roots
+        dim, simples = real(ctype)
+        return dim, [simples[k] for k in order]
 
     monkeypatch.setattr(core, "_classical_data", renumbered)
     with pytest.raises(ValueError, match="Bourbaki order"):
@@ -369,15 +366,45 @@ def test_rejects_a_base_that_is_not_crystallographic(simples, form):
 
 @pytest.mark.parametrize("simples,match", [
     ([(1, 0, 0), (0, 1, 1)], "not connected"),  # A1 x A1, two lengths
-    ([(1, 0), (0, 1)], "dominant root"),  # A1 x A1, one length
+    ([(1, 0), (0, 1)], "not connected"),  # A1 x A1, one length
     # G2 x A1, with the A1 root of a third length
-    ([(1, -1, 0, 0), (-2, 1, 1, 0), (0, 0, 0, 2)], "more than two root lengths"),
+    ([(1, -1, 0, 0), (-2, 1, 1, 0), (0, 0, 0, 2)], "not connected"),
+    # affine A1 x A1, whose closure would not terminate
+    ([(1, 0), (-1, 0), (0, 1)], "not connected"),
 ])
-def test_rejects_a_reducible_base(simples, match):
+def test_rejects_a_reducible_base(monkeypatch, simples, match):
+    """A disconnected base is refused on its Cartan matrix: with the closure's
+    step failing, the refusal still comes first."""
+    import rootkit.linalg as linalg
+
+    def fail(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(linalg, "step", fail)
     dim = len(simples[0])
     form = [[int(i == j) for j in range(dim)] for i in range(dim)]
     with pytest.raises(ValueError, match=match):
         RootSystem(simples, form)
+
+
+@pytest.mark.parametrize("name", type_names(8))
+def test_closure_facts_of_a_connected_base(name):
+    """What the constructor no longer checks, read off the tables of both
+    models, their duals and double duals: at most two lengths, exactly one
+    positive root per length that pairs >= 0 with every simple coroot (the
+    highest root and the highest short root), and a highest root of full
+    support."""
+    for model in (get_system(name), closure_system(name)):
+        for s in (model, model.dual, model.dual.dual):
+            lengths = set(s.sq_lengths)
+            assert len(lengths) <= 2
+            dominant = {q: [k for k, (h, p, ql) in enumerate(
+                            zip(s.heights, s.pairings, s.sq_lengths))
+                            if h > 0 and ql == q and min(p) >= 0]
+                        for q in lengths}
+            assert dominant == {s.max_sq_length: [s.highest_index],
+                                s.min_sq_length: [s.highest_short_index]}
+            assert min(s.coeffs[s.highest_index]) >= 1
 
 
 @pytest.mark.parametrize("cartan", [
@@ -458,6 +485,13 @@ def test_form_over_a_denominator(name):
         assert getattr(t, attr) == getattr(s, attr), attr
     assert t.sq_lengths == tuple(q / 3 for q in s.sq_lengths)
     assert t.ctype == s.ctype
+
+
+def test_form_given_as_a_generator():
+    """A form given as a generator of rows builds the tables of the tuple."""
+    s = build_system("B3")
+    t = RootSystem(s.simples, (row for row in s.form))
+    assert _tables(t) == _tables(s)
 
 
 def test_closure_of_affine_cartan_matrix_stops():

@@ -83,6 +83,9 @@ class TestReflect:
             reflect(s, 2, s.simples[0])
         with pytest.raises(BadIndex):
             reflect(s, -1, s.simples[0])
+        for i in (-1, s.rank):
+            with pytest.raises(BadIndex):
+                levi_subset(s, i)
 
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     @pytest.mark.parametrize("name", type_names(8))
