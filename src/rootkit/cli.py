@@ -51,7 +51,7 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def cmd_describe(args) -> tuple[str, int]:
-    s = build_system(CartanType.parse(args.ctype))
+    s = build_system(args.ctype)
     top, top_short = highest_roots(s)
     heights = {k: h for k, h in enumerate(s.heights) if h > 0}
     if args.format == "json":
@@ -95,7 +95,7 @@ FORMATS = ("table", "json", "csv")
 
 
 def cmd_classify(args) -> tuple[str, int]:
-    s = build_system(CartanType.parse(args.ctype))
+    s = build_system(args.ctype)
     doc = report_mod.document_from_report(s, verify_theorem(s))
     # Looked up on the module at call time, so a wrapped or patched
     # report.to_<format> is the one that renders.
@@ -145,7 +145,7 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_witness(args) -> tuple[str, int]:
-    s = build_system(CartanType.parse(args.ctype))
+    s = build_system(args.ctype)
     i = args.index
     res = dominant_witness(s, i)
     lines = [

@@ -9,16 +9,17 @@ integer numerators, and a caller's vector enters once, by ``RootSystem.state``.
 Ambient coordinates are a rendering at the boundary, made exact by
 ``linalg.Rationals``. The classical families A/B/C/D and G2 place each root at
 ``sum c_i * simple_i`` in their standard coordinates (type A and G2 in the
-sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard inner product)
-and check that the Cartan matrix is Bourbaki's; the tests hold the textbook
-root lists they are compared with. E6/E7/E8/F4 keep the base coefficients as
-coordinates, with the minimal positive-integer symmetrization of the Cartan
-matrix as the form; ``closure_system`` returns that model for every family;
-``dual_system`` reruns the closure on the simple coroots. Roots are sorted by
-the height of the positive representative, then on their integer numerators,
-so indices, orbits and serialized reports are reproducible across runs. No
-caller names the Cartan type of a base: ``RootSystem`` reads it off the
-closure.
+sum-zero hyperplane of Q^n, types B/C/D in Q^n with the standard inner
+product); those simple roots are the one written copy of their Bourbaki
+numbering, which ``cartan_matrix`` reads. The tests compare the matrices with
+the benchmark oracle's and the roots with the textbook lists. E6/E7/E8/F4 keep
+the base coefficients as coordinates, with the minimal positive-integer
+symmetrization of the Cartan matrix as the form; ``closure_system`` returns
+that model for every family; ``dual_system`` reruns the closure on the simple
+coroots. Roots are sorted by the height of the positive representative, then on
+their integer numerators, so indices, orbits and serialized reports are
+reproducible across runs. No caller names the Cartan type of a base:
+``RootSystem`` reads it off the closure.
 """
 
 from __future__ import annotations
@@ -90,40 +91,22 @@ def admissible_types(max_rank: int) -> list[CartanType]:
 
 
 def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Integer Cartan matrix A[i][j] = <alpha_i, alpha_j^v> in Bourbaki numbering."""
+    """Integer Cartan matrix A[i][j] = <alpha_i, alpha_j^v> in Bourbaki numbering,
+    read off ``_classical_data``'s simple roots for A-D and G2, 2 (alpha_i,
+    alpha_j) / (alpha_j, alpha_j), and written as diagram edges for E and F."""
+    if ctype.family not in "EF":
+        base = _classical_data(ctype)[1]
+        return tuple(tuple(2 * sum(map(mul, u, v)) // sum(map(mul, v, v)) for v in base)
+                     for u in base)
     n = ctype.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def edge(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
-
-    fam = ctype.family
-    if fam in "ABC":
-        for i in range(n - 1):
-            edge(i, i + 1)
-        if fam == "B" and n >= 2:
-            a[n - 2][n - 1] = -2  # last simple root is short
-        if fam == "C":
-            a[n - 1][n - 2] = -2  # last simple root is long
-    elif fam == "D":
-        for i in range(n - 2):
-            edge(i, i + 1)
-        edge(n - 3, n - 1)
-    elif fam == "E":
-        for i, j in [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]:
-            edge(i, j)
-        if n >= 7:
-            edge(5, 6)
-        if n == 8:
-            edge(6, 7)
-    elif fam == "F":
-        for i in range(3):
-            edge(i, i + 1)
+    edges = {"E": [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3), (5, 6), (6, 7)],
+             "F": [(0, 1), (1, 2), (2, 3)]}[ctype.family]
+    for i, j in edges[:n - 1]:
+        a[i][j] = a[j][i] = -1
+    if ctype.family == "F":
         a[1][2] = -2  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-    else:  # G2
-        edge(0, 1, -1, -3)  # alpha_1 short, alpha_2 long
-    return tuple(tuple(row) for row in a)
+    return tuple(map(tuple, a))
 
 
 def symmetrizer(cartan) -> tuple[int, ...]:
@@ -185,9 +168,10 @@ class RootSystem:
     the diagram connected (``symmetrizer``, before the closure runs), so A is
     an indecomposable symmetrizable generalized Cartan matrix. On the closure:
     at most 4 * rank^2 roots (an affine or hyperbolic base goes on for ever)
-    and integer dual coefficients. A finite closure of a connected base is
-    irreducible, so roots of one length are one W-orbit (the paper's opening
-    lemma), and it has at most two lengths and a highest root of full support
+    and integer dual coefficients, the latter only a guard on the norm formula:
+    a finite closure's coroots are the roots of its dual, so it cannot fail
+    this check. A finite closure of a connected base is irreducible, so roots
+    of one length are one W-orbit (the paper's opening lemma), and it has at most two lengths and a highest root of full support
     (Humphreys 1972, 10.4 Lemmas C and A) and one dominant root per length
     (the closed chamber meets each W-orbit once, Humphreys 1990, 1.12), all
     unchecked. The closure cannot fail the rest either: no root is zero
@@ -396,7 +380,7 @@ class RootSystem:
 
 
 def _classical_data(ctype: CartanType):
-    """The ambient dimension and the simple roots in standard coordinates."""
+    """The ambient dimension and the standard simple roots, in Bourbaki order."""
     fam, r = ctype.family, ctype.rank
     if fam == "A":
         n = r + 1
@@ -416,22 +400,21 @@ def build_system(ctype: CartanType | str) -> RootSystem:
     """Canonical model of an irreducible root system.
 
     Every type is the reflection closure of a base in Bourbaki numbering.
-    Classical families and G2 take their standard coordinates, where the
-    Cartan matrix must be Bourbaki's: it fixes the roots' base coefficients,
-    and the simple roots fix their coordinates, so the root set is the
-    textbook list without a check (the tests compare the two). E and F types
-    keep base coefficients as coordinates.
+    Classical families and G2 take their standard coordinates, whose simple
+    roots are the numbering (``cartan_matrix`` reads theirs off them): the
+    Cartan matrix fixes the roots' base coefficients, and the simple roots
+    fix their coordinates, so the root set is the textbook list without a
+    check (the tests compare the matrix with the benchmark oracle's and the
+    roots with Bourbaki's plates). E and F types keep base coefficients as
+    coordinates.
     """
     if isinstance(ctype, str):
         ctype = CartanType.parse(ctype)
-    if ctype.family in _EXACT_RANKS and ctype.family != "G":
+    if ctype.family in "EF":
         return closure_system(ctype)
     dim, simples = _classical_data(ctype)
     form = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    s = RootSystem(simples, form)
-    if s.cartan != cartan_matrix(ctype):
-        raise ValueError(f"{ctype}: the simple roots are not in Bourbaki order")
-    return s
+    return RootSystem(simples, form)
 
 
 def closure_system(ctype: CartanType | str) -> RootSystem:

@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout: python3 tests/mutants.py [NAME ...]
 
-The runner copies ``src/``, ``tests/``, ``pyproject.toml`` and
-``perfbench/digests.json`` once, to a temporary base directory, and runs
-every mutation's pytest subset there; each must pass, so that a catch means
-the mutation was seen. For each mutation (all of them, or the names given)
-it then copies that base, replaces one exact piece of source text (it stops
-with an error unless the text occurs exactly once), runs the subset with a
-timeout and prints ``caught`` or ``MISSED``. So one run tests one tree, even
-if the checkout changes meanwhile. Exits 1 on any miss, timeout or error.
+The runner copies ``src/``, ``tests/``, ``pyproject.toml``,
+``perfbench/digests.json`` and ``perfbench/oracle.py`` once, to a temporary
+base directory, and runs every mutation's pytest subset there; each must pass,
+so that a catch means the mutation was seen. For each mutation (all of them,
+or the names given) it then copies that base, replaces one exact piece of
+source text (it stops with an error unless the text occurs exactly once), runs
+the subset with a timeout and prints ``caught`` or ``MISSED``. So one run tests
+one tree, even if the checkout changes meanwhile. Exits 1 on any miss, timeout
+or error.
 
 Not collected by pytest on purpose: each mutation costs a pytest run. A
 change that finds a new way to break the engine adds its mutation here;
@@ -254,6 +255,16 @@ MUTATIONS = {
         '"D" if count == 2 * n * (n - 1)',
         '"D" if False',
         ["tests/test_core.py", "-k", "type_read_off"]),
+    "B and C last simple roots swapped": (
+        "core.py",
+        'm = 1 if fam == "B" else 2',
+        'm = 2 if fam == "B" else 1',
+        ["tests/test_core.py", "-k", "bourbakis"]),
+    "verify never counts a failing type": (
+        "cli.py",
+        "failures += 1",
+        "failures += 0",
+        ["tests/test_cli.py", "-k", "counts_a_failing_type"]),
     "dominant_rep appends i, i, i": (
         "weyl.py",
         "applied.append(i)",
@@ -266,8 +277,9 @@ def copy_tree(dest: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=IGNORE)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
-    (dest / "perfbench").mkdir()  # test_digests.py reads the digests
-    shutil.copy2(ROOT / "perfbench" / "digests.json", dest / "perfbench")
+    (dest / "perfbench").mkdir()  # the tests read the digests and the oracle
+    for name in ("digests.json", "oracle.py"):
+        shutil.copy2(ROOT / "perfbench" / name, dest / "perfbench")
 
 
 def run_pytest(where: Path, args: list[str]) -> str:

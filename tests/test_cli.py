@@ -173,6 +173,43 @@ class TestVerify:
         assert main(["verify", "--types", "B2,G2", "--out", str(path)]) == 0
         assert "checked 2 systems" in path.read_text()
 
+    def test_counts_a_failing_type_on_levi_violations(self, monkeypatch, capsys):
+        import rootkit.cli as cli
+
+        real = cli.levi_orbit_multiplicity_violations
+        monkeypatch.setattr(cli, "levi_orbit_multiplicity_violations",
+                            lambda s: ["violation"] if str(s.ctype) == "B3" else real(s))
+        assert main(["verify", "--types", "A2,B3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("A2: rows=2 equivalence=ok descent_blockers=0 "
+                                   "levi_mult_violations=0 ")
+        assert lines[1].startswith("B3: rows=3 equivalence=ok descent_blockers=0 "
+                                   "levi_mult_violations=1 ")
+        assert lines[-1].startswith("checked 2 systems, 5 simple roots: 1 type(s) FAILED")
+
+    def test_counts_a_failing_type_on_equivalence(self, monkeypatch, capsys):
+        import dataclasses
+
+        import rootkit.cli as cli
+
+        real = cli.verify_theorem
+
+        def flipped(s):
+            rep = real(s)
+            if str(s.ctype) != "A2":
+                return rep
+            first = rep.rows[0]
+            first = dataclasses.replace(first, quasi_constant=not first.quasi_constant)
+            return dataclasses.replace(rep, rows=(first, *rep.rows[1:]),
+                                       all_equivalent=False)
+
+        monkeypatch.setattr(cli, "verify_theorem", flipped)
+        assert main(["verify", "--types", "A2,B3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("A2: rows=2 equivalence=FAIL ")
+        assert lines[1].startswith("B3: rows=3 equivalence=ok ")
+        assert lines[-1].startswith("checked 2 systems, 5 simple roots: 1 type(s) FAILED")
+
 
 class TestOutErrors:
     @pytest.mark.parametrize("argv", [
